@@ -30,7 +30,7 @@ from .connectivity import (
     arcs_disconnecting_two,
     CutProfile,
 )
-from .errors import BudgetError, KernelContractError, RootDisconnected
+from .errors import BudgetError, DPInvariantError, KernelContractError, RootDisconnected
 from .oracle import (
     enum_arborescences,
     count_arborescences,

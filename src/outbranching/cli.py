@@ -5,8 +5,9 @@ generate, bench. Instances travel in the plain text format ("n m", arc
 lines, optional "root r" line); results are JSON by default, CSV on
 request. Exit codes: 0 success (a "no" answer is a success), 2 for
 unusable input or arguments, 3 for budget or kernel-contract failures,
-4 when verify catches a solver/oracle mismatch. Every nonzero exit
-prints one "error: ..." line on stderr.
+4 when verify catches a solver/oracle mismatch, 5 when the dynamic
+program breaks one of its own invariants (a bug, not an answer). Every
+nonzero exit prints one "error: ..." line on stderr.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import sys
 
 from .digraph import ParseError, parse_instance, serialize_instance
-from .errors import BudgetError, KernelContractError
+from .errors import BudgetError, DPInvariantError, KernelContractError
 from .oracle import brute_max_leaves, brute_max_internal, brute_longest_path
 from .leaf_pipeline import solve_lob
 from .internal_pipeline import solve_iob, DEFAULT_COLLECTION_BUDGET
@@ -294,6 +295,9 @@ def main(argv=None):
     except KernelContractError as exc:
         print(f"error: contract: {exc}", file=sys.stderr)
         return 3
+    except DPInvariantError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 5
     except FileNotFoundError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2

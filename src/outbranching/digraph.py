@@ -315,7 +315,9 @@ class OutTree:
                 if x is None or x in seen:
                     raise ValueError(f"vertex {c} does not reach the root")
                 seen.add(x)
-        self._children = {v: frozenset(s) for v, s in children.items()}
+        # tuples, not sets: solvers keep many witnesses, and most vertices
+        # of a tree are leaves, which share the one empty tuple
+        self._children = {v: tuple(s) for v, s in children.items()}
 
     @property
     def vertex_set(self):
@@ -326,7 +328,7 @@ class OutTree:
         return len(self._children)
 
     def children(self, v):
-        return self._children[v]
+        return frozenset(self._children[v])
 
     def arcs(self):
         return frozenset((p, c) for c, p in self.parents.items())

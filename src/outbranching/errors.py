@@ -27,3 +27,9 @@ class RootDisconnected(Exception):
         super().__init__(f"root {root} cannot reach {sorted(missing)}")
         self.root = root
         self.missing = frozenset(missing)
+
+
+class DPInvariantError(RuntimeError):
+    """The tree-decomposition DP broke one of its own invariants, or its
+    witness failed validation. Signals a bug, never a "no" answer; it is
+    raised instead of returning a result that may be wrong."""

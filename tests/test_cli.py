@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from outbranching import cli
+from outbranching import cli, treedp
 
 
 def run(capsys, *argv):
@@ -103,6 +103,23 @@ def test_verify_mismatch_exits_four(capsys, tmp_path, monkeypatch):
     assert code == 4
     assert json.loads(out)["match"] is False
     assert err.startswith("error: verify mismatch")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("solve-lob", "--k", "3"), STAR),
+    (("solve-iob", "--k", "1"), STAR),
+    (("solve-kpath", "--k", "3", "--b", "1"), PATH4),
+])
+def test_dp_invariant_exit_five(capsys, tmp_path, monkeypatch, argv, text):
+    # a witness that lost an arc must stop the run, not come out as an answer
+    collect = treedp._collect_arcs
+    monkeypatch.setattr(treedp, "_collect_arcs",
+                        lambda step, state: collect(step, state)[1:])
+    path = write_instance(tmp_path, text)
+    code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal:") and err.count("\n") == 1
 
 
 def test_parse_error_exit_two(capsys, tmp_path):

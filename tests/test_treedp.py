@@ -1,4 +1,9 @@
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+
+from hypothesis import given, settings, strategies as st
 
 from outbranching import (
     Digraph,
@@ -11,7 +16,11 @@ from outbranching import (
     validate_out_tree,
 )
 from outbranching.treedp import dp_longest_path, dp_max_internal_outtree, dp_max_leaves
-from outbranching.treewidth import exact_treewidth_small, make_nice
+from outbranching.treewidth import (
+    decomposition_from_ordering,
+    exact_treewidth_small,
+    make_nice,
+)
 from helpers import grid_digraph, random_corpus
 
 
@@ -153,3 +162,78 @@ def test_max_leaves_denser_corpus():
                 assert got is None
             else:
                 assert got[0] == want
+
+
+@st.composite
+def dp_cases(draw):
+    """A digraph on at most 7 vertices, a root, a size cap and an
+    elimination order; random orders give join bags of many shapes."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1,
+                         max_size=min(3 * n, len(pairs)))) if pairs else []
+    root = draw(st.integers(0, n - 1))
+    cap = draw(st.integers(1, n))
+    order = draw(st.permutations(range(n)))
+    return Digraph.of(n, arcs), root, cap, order
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(dp_cases())
+def test_dps_match_oracles_on_random_decompositions(case):
+    d, root, cap, order = case
+    nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
+
+    want = brute_max_leaves(d, root)
+    got = dp_max_leaves(d, root, nice)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[0] == want
+        validate_out_tree(d, got[1], spanning=True)
+        assert len(got[1].leaves()) == want
+
+    (internal, size), tree = dp_max_internal_outtree(d, root, nice, size_cap=cap)
+    assert internal == brute_max_internal_tree(d, root, max_size=cap)
+    validate_out_tree(d, tree)
+    assert tree.root == root and tree.size == size <= cap
+    assert len(tree.internal_vertices()) == internal
+
+    length, path = dp_longest_path(d, nice)
+    assert length == brute_longest_path(d)[0]
+    assert len(path) == length + 1 == len(set(path))
+    assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
+
+
+def test_corrupt_witness_raises_under_optimize():
+    # under python -O every assert is gone; the witness check must not be
+    code = textwrap.dedent("""
+        import outbranching.treedp as treedp
+        from outbranching import Digraph
+        from outbranching.errors import DPInvariantError
+
+        assert False, "asserts are live"
+        collect = treedp._collect_arcs
+        treedp._collect_arcs = lambda step, state: collect(step, state)[1:]
+        arcs = []
+        for r in range(3):
+            for c in range(3):
+                v = 3 * r + c
+                if c < 2:
+                    arcs += [(v, v + 1), (v + 1, v)]
+                if r < 2:
+                    arcs += [(v, v + 3), (v + 3, v)]
+        try:
+            result = treedp.dp_max_leaves(Digraph.of(9, arcs), 0)
+        except DPInvariantError as exc:
+            print("raised:", exc)
+        else:
+            print("returned:", result)
+        """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:"), proc.stdout
