@@ -215,8 +215,6 @@ def _add_common(sub, *, instance=True, needs_k=True):
     if needs_k:
         sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="force sequential processing (already the default)")
 
 
 def build_parser():

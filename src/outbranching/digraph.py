@@ -403,7 +403,7 @@ def parse_instance(text):
     """
     header = None
     arcs = []
-    arc_lines = []
+    seen = set()
     root = None
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -444,12 +444,12 @@ def parse_instance(text):
             raise ParseError(f"vertex out of range at line {lineno}")
         if u == v:
             raise ParseError(f"self-loop at line {lineno}")
-        if (u, v) in set(arcs):
+        if (u, v) in seen:
             raise ParseError(f"duplicate arc at line {lineno}")
         if len(arcs) == m:
             raise ParseError(f"more than {m} arcs at line {lineno}")
         arcs.append((u, v))
-        arc_lines.append(lineno)
+        seen.add((u, v))
     if header is None:
         raise ParseError("empty input, expected a header line")
     if len(arcs) != m:

@@ -239,7 +239,7 @@ class InternalSearchResult:
         self.reports = reports
 
 
-def _solve_one_root(digraph, k, root, budget, witness, cache):
+def _solve_one_root(digraph, k, root, budget, cache):
     """Search the layered collection for one root.
 
     Returns (report, tree-or-None); the tree is a small witness inside
@@ -305,7 +305,7 @@ def solve_iob(digraph, k, root=None, kernel=None,
     reports = []
     for r in roots:
         cache = {}
-        report, tree = _solve_one_root(core, k2, r, budget, witness, cache)
+        report, tree = _solve_one_root(core, k2, r, budget, cache)
         reports.append(report)
         if tree is None:
             continue

@@ -266,12 +266,10 @@ def reduce_lob(digraph, root, k):
     """
 
     assert k >= 1
-    report = StructureReport(root, k)
     missing = digraph.vertices - reachable(digraph, root)
     if missing:
-        report.outcome = "disconnected"
-        report.unreachable_count = len(missing)
         raise RootDisconnected(root, missing)
+    report = StructureReport(root, k)
 
     reduced, steps = exhaust_stranding_contractions(digraph, root)
     report.contractions = len(steps)
@@ -428,10 +426,10 @@ def solve_lob(digraph, k, root=None, witness=True):
         assert r in digraph.vertices
         try:
             outcome = reduce_lob(digraph, r, k)
-        except RootDisconnected:
+        except RootDisconnected as exc:
             report = StructureReport(r, k)
             report.outcome = "disconnected"
-            report.unreachable_count = len(digraph.vertices - reachable(digraph, r))
+            report.unreachable_count = len(exc.missing)
             reports.append(report)
             continue
         reports.append(outcome.report)

@@ -2,7 +2,7 @@
 
 import random
 
-from outbranching import Digraph
+from outbranching import Digraph, reachable
 
 
 def random_digraph(rng, n_lo=4, n_hi=7, density=2.0):
@@ -17,6 +17,43 @@ def random_digraph(rng, n_lo=4, n_hi=7, density=2.0):
 def random_corpus(count, seed, n_lo=4, n_hi=7, density=2.0):
     rng = random.Random(seed)
     return [random_digraph(rng, n_lo, n_hi, density) for _ in range(count)]
+
+
+def brute_arcs_disconnecting_two(d, r):
+    """Arcs whose removal strands >= 2 vertices, one sweep per arc."""
+    base = reachable(d, r)
+    out = set()
+    for arc in d.arcs:
+        lost = base - reachable(d, r, removed_arcs=(arc,))
+        if len(lost) >= 2:
+            out.add(arc)
+    return frozenset(out)
+
+
+def brute_is_rooted_2connected(d, r):
+    """No z != r strands anything, one sweep per vertex; r reaches all."""
+    return all(reachable(d, r, removed=(z,)) == d.vertices - {z}
+               for z in d.vertices if z != r)
+
+
+def brute_cut_profile(d, r):
+    """CutProfile fields as plain values, one sweep per vertex; r reaches
+    all."""
+    stranded = {}
+    for x in sorted(d.vertices - {r}):
+        lost = d.vertices - {x} - reachable(d, r, removed=(x,))
+        if lost:
+            stranded[x] = frozenset(d.out_neighbors(x) & lost)
+    multi = frozenset(x for x, ys in stranded.items() if len(ys) >= 2)
+    single = frozenset(x for x, ys in stranded.items() if len(ys) == 1)
+    return {
+        "cut_vertices": frozenset(stranded),
+        "stranded": stranded,
+        "multi_cut": multi,
+        "single_cut": single,
+        "forced_arcs": frozenset((x, y) for x in multi for y in stranded[x]),
+        "pendant_arcs": frozenset((x, y) for x in single for y in stranded[x]),
+    }
 
 
 def all_orientations(n, edges):

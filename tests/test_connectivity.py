@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outbranching import (
     Digraph,
@@ -9,7 +10,13 @@ from outbranching import (
     nice_vertices,
     reachable,
 )
-from helpers import grid_digraph, random_corpus
+from helpers import (
+    brute_arcs_disconnecting_two,
+    brute_cut_profile,
+    brute_is_rooted_2connected,
+    grid_digraph,
+    random_corpus,
+)
 
 
 def bidirected_cycle(n):
@@ -99,16 +106,6 @@ def test_arcs_disconnecting_two_empty_on_2connected():
     assert arcs_disconnecting_two(grid_digraph(3, 3), 0) == frozenset()
 
 
-def brute_arcs_disconnecting_two(d, r):
-    base = reachable(d, r)
-    out = set()
-    for arc in d.arcs:
-        lost = base - reachable(d, r, removed_arcs=(arc,))
-        if len(lost) >= 2:
-            out.add(arc)
-    return frozenset(out)
-
-
 def test_arcs_disconnecting_two_matches_brute_force():
     checked = 0
     for d in random_corpus(60, seed=19, n_lo=4, n_hi=9, density=1.8):
@@ -129,3 +126,46 @@ def test_cut_profile_forced_arc_heads_are_disjoint_after_no_precondition():
             for x, ys in prof.stranded.items():
                 assert ys <= d.out_neighbors(x)
                 assert x not in ys
+
+
+def _profile_fields(prof):
+    return {name: getattr(prof, name) for name in prof.__slots__}
+
+
+@st.composite
+def small_digraphs(draw):
+    """A digraph on at most 9 vertices; from many of its roots some vertex
+    is unreachable."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1,
+                         max_size=min(3 * n, len(pairs)))) if pairs else []
+    return Digraph.of(n, arcs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_digraphs())
+def test_dominator_answers_match_sweeps(d):
+    for r in sorted(d.vertices):
+        assert arcs_disconnecting_two(d, r) == brute_arcs_disconnecting_two(d, r)
+        if reachable(d, r) != d.vertices:
+            for fn in (cut_profile, is_rooted_2connected):
+                with pytest.raises(ValueError, match="unreachable from root"):
+                    fn(d, r)
+            continue
+        assert _profile_fields(cut_profile(d, r)) == brute_cut_profile(d, r)
+        assert is_rooted_2connected(d, r) == brute_is_rooted_2connected(d, r)
+
+
+def test_dominator_answers_match_sweeps_on_corpora():
+    checked = 0
+    corpus = random_corpus(60, seed=29, n_lo=4, n_hi=9, density=2.2)
+    corpus += [grid_digraph(4, 4, seed=s, both_ways_prob=0.6) for s in range(6)]
+    for d in corpus:
+        for r in sorted(d.vertices):
+            if reachable(d, r) != d.vertices:
+                continue
+            assert _profile_fields(cut_profile(d, r)) == brute_cut_profile(d, r)
+            assert is_rooted_2connected(d, r) == brute_is_rooted_2connected(d, r)
+            checked += 1
+    assert checked > 100

@@ -142,6 +142,13 @@ def test_parse_reports_line_numbers():
         parse_digraph("3 2\n0 1\n")
 
 
+def test_parse_rejects_repeated_arc():
+    with pytest.raises(ParseError, match="duplicate arc at line 4"):
+        parse_digraph("3 3\n0 1\n1 2\n0 1\n")
+    # the reverse arc is a different arc
+    assert parse_digraph("2 2\n0 1\n1 0\n").arcs == {(0, 1), (1, 0)}
+
+
 def test_serialize_sorts_arcs_and_round_trips():
     d = Digraph.of(3, [(2, 1), (0, 2), (0, 1)])
     text = serialize_instance(d, root=0)
