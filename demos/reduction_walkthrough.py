@@ -49,7 +49,7 @@ def main():
           f"{brute_max_leaves(dup, root)} = "
           f"{brute_max_leaves(d1, root)} + {len(imap)}")
 
-    squeezed, _ = contract_pendant_arcs(dup, profile.pendant_arcs)
+    squeezed = contract_pendant_arcs(dup, profile.pendant_arcs)
     print(f"\nstage 3, pendant squeeze: 2-connected from the root now? "
           f"{is_rooted_2connected(squeezed, root)}")
 

@@ -10,7 +10,6 @@ from .digraph import (
     Digraph,
     UndirectedGraph,
     OutTree,
-    RootedInstance,
     ParseError,
     underlying_graph,
     contract_arc_directed,

@@ -19,6 +19,9 @@ exactly y's dominator subtree.
 
 from functools import reduce
 
+# In-degree at which a vertex counts as "high" in the leaf-count bounds.
+HIGH_INDEGREE = 3
+
 
 def reachable(digraph, root, removed=(), removed_arcs=()):
     """Vertices reachable from ``root`` after deleting the given vertices
@@ -124,9 +127,9 @@ def nice_vertices(digraph):
                      if digraph.in_neighbors(v) - digraph.out_neighbors(v))
 
 
-def high_indegree_vertices(digraph, threshold=3):
+def high_indegree_vertices(digraph):
     return frozenset(v for v in digraph.vertices
-                     if digraph.in_degree(v) >= threshold)
+                     if digraph.in_degree(v) >= HIGH_INDEGREE)
 
 
 def arcs_disconnecting_two(digraph, root):

@@ -1,4 +1,4 @@
-"""Core graph types: directed graphs with merge bookkeeping, their underlying
+"""Core graph types: directed graphs and their contractions, underlying
 undirected graphs, out-trees, and the plain-text instance format.
 
 Representation decisions that the rest of the package relies on:
@@ -8,14 +8,11 @@ Representation decisions that the rest of the package relies on:
   new ones; ids of surviving vertices never change.
 * Arcs are a frozenset of (tail, head) pairs. No self-loops, no parallel
   arcs; contraction drops both.
-* Every vertex carries an origin set: the ids (of the graph this lineage
-  started from) merged into it so far. A fresh graph has origins {v: {v}}.
-  Contracting an arc (u, v) reuses the tail id u for the merged vertex and
-  unions the origin sets, so a chosen root keeps its id through any chain
-  of reductions (a root is never the head of a contracted arc in the
-  pipelines here). Witness trees found on a reduced graph are mapped back
-  step by step, not through origins alone, so the contraction helpers also
-  leave the caller enough to replay the steps.
+* Contracting an arc (u, v) reuses the tail id u for the merged vertex, so
+  a chosen root keeps its id through any chain of reductions (a root is
+  never the head of a contracted arc in the pipelines here). A graph does
+  not remember which vertices were merged; callers that need to map a
+  witness back record the (graph_before, arc) steps and replay them.
 * All types are immutable after construction; derived graphs are new
   objects.
 """
@@ -27,23 +24,12 @@ class ParseError(ValueError):
     pass
 
 
-def _freeze_origins(vertices, origins):
-    if origins is None:
-        return {v: frozenset((v,)) for v in vertices}
-    out = {}
-    for v in vertices:
-        if v not in origins:
-            raise ValueError(f"missing origin set for vertex {v}")
-        out[v] = frozenset(origins[v])
-    return out
-
-
 class Digraph:
     """A finite simple directed graph with explicit vertex ids."""
 
-    __slots__ = ("vertices", "arcs", "origins", "_succ", "_pred")
+    __slots__ = ("vertices", "arcs", "_succ", "_pred")
 
-    def __init__(self, vertices, arcs, origins=None):
+    def __init__(self, vertices, arcs):
         self.vertices = frozenset(vertices)
         self.arcs = frozenset(arcs)
         for u, v in self.arcs:
@@ -51,7 +37,6 @@ class Digraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError(f"arc ({u}, {v}) leaves the vertex set")
-        self.origins = _freeze_origins(self.vertices, origins)
         succ = {v: set() for v in self.vertices}
         pred = {v: set() for v in self.vertices}
         for u, v in self.arcs:
@@ -89,28 +74,23 @@ class Digraph:
         return (u, v) in self.arcs
 
     def induced(self, keep):
-        """Subgraph induced by the vertex set ``keep``; origins carried over."""
+        """Subgraph induced by the vertex set ``keep``."""
         keep = frozenset(keep)
         if not keep <= self.vertices:
             raise ValueError("induced() got vertices outside the graph")
         arcs = {(u, v) for (u, v) in self.arcs if u in keep and v in keep}
-        return Digraph(keep, arcs, {v: self.origins[v] for v in keep})
+        return Digraph(keep, arcs)
 
     def without_vertices(self, drop):
         return self.induced(self.vertices - frozenset(drop))
 
     def without_arcs(self, drop):
-        return Digraph(self.vertices, self.arcs - frozenset(drop), self.origins)
-
-    def with_fresh_origins(self):
-        """Same graph, origin tracking restarted at this point."""
-        return Digraph(self.vertices, self.arcs)
+        return Digraph(self.vertices, self.arcs - frozenset(drop))
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
             return NotImplemented
-        return (self.vertices == other.vertices and self.arcs == other.arcs
-                and self.origins == other.origins)
+        return self.vertices == other.vertices and self.arcs == other.arcs
 
     def __hash__(self):
         return hash((self.vertices, self.arcs))
@@ -208,52 +188,29 @@ def underlying_graph(digraph):
                            {(u, v) for (u, v) in digraph.arcs})
 
 
-def _merge(digraph, u, v):
-    """Merge v into u: shared mechanics of both contraction flavors.
-
-    The merged vertex keeps the id u, inherits the union of in-arcs and the
-    union of out-arcs of u and v, and unions the origin sets. Loops created
-    by arcs between u and v disappear; duplicate arcs collapse because arcs
-    form a set.
-    """
-    assert u != v
-    vertices = set(digraph.vertices)
-    vertices.remove(v)
+def contract_arc_directed(digraph, arc):
+    """Contract the arc (u, v): one vertex replaces both endpoints, keeping
+    every in-arc and out-arc either endpoint had. Used when collapsing an
+    arc whose removal would strand vertices and when merging a pendant
+    cut vertex with its lone dependent; the merged vertex keeps the
+    tail's id, so a root at the tail survives by name. Loops created by
+    arcs between u and v disappear; duplicate arcs collapse because arcs
+    form a set."""
+    u, v = arc
+    if arc not in digraph.arcs:
+        raise ValueError(f"cannot contract missing arc ({u}, {v})")
     arcs = set()
     for a, b in digraph.arcs:
         a2 = u if a == v else a
         b2 = u if b == v else b
         if a2 != b2:
             arcs.add((a2, b2))
-    origins = {x: digraph.origins[x] for x in vertices}
-    origins[u] = digraph.origins[u] | digraph.origins[v]
-    return Digraph(vertices, arcs, origins)
+    return Digraph(digraph.vertices - {v}, arcs)
 
 
-def contract_arc_directed(digraph, arc):
-    """Contract the arc (u, v): one vertex replaces both endpoints, keeping
-    every in-arc and out-arc either endpoint had. Used when collapsing an
-    arc whose removal would strand vertices; the merged vertex keeps the
-    tail's id, so a root at the tail survives by name."""
-    u, v = arc
-    if arc not in digraph.arcs:
-        raise ValueError(f"cannot contract missing arc ({u}, {v})")
-    return _merge(digraph, u, v)
-
-
-def identify_arc_endpoints(digraph, arc):
-    """Identify the two endpoints of the arc (u, v) into one vertex.
-
-    On simple digraphs the surviving arc set is the same union as for
-    contract_arc_directed; the two entry points are kept separate because
-    they play different roles (collapsing stranding arcs versus merging a
-    pendant cut vertex with its lone dependent) and callers record which
-    one produced a merge when expanding witnesses back.
-    """
-    u, v = arc
-    if arc not in digraph.arcs:
-        raise ValueError(f"cannot identify endpoints of missing arc ({u}, {v})")
-    return _merge(digraph, u, v)
+# An alias, not a second contraction: the name stays public because
+# callers, the benchmark's layer trace among them, refer to it.
+identify_arc_endpoints = contract_arc_directed
 
 
 def bfs_layers(graph, root):
@@ -373,24 +330,6 @@ def validate_out_tree(digraph, tree, spanning=False):
     if spanning and tree.vertex_set != digraph.vertices:
         missing = digraph.vertices - tree.vertex_set
         raise ValueError(f"tree does not span, missing {sorted(missing)}")
-
-
-class RootedInstance:
-    """An input triple: digraph, root, target parameter k >= 1."""
-
-    __slots__ = ("digraph", "root", "k")
-
-    def __init__(self, digraph, root, k):
-        if root not in digraph.vertices:
-            raise ValueError(f"root {root} not in digraph")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.digraph = digraph
-        self.root = root
-        self.k = k
-
-    def __repr__(self):
-        return f"RootedInstance(n={self.digraph.n}, root={self.root}, k={self.k})"
 
 
 def parse_instance(text):

@@ -40,7 +40,6 @@ from .digraph import (
     Digraph,
     OutTree,
     contract_arc_directed,
-    identify_arc_endpoints,
     underlying_graph,
     validate_out_tree,
 )
@@ -189,8 +188,7 @@ def duplicate_multi_cut(digraph, multi_cut):
     The copy inherits all in-arcs and out-arcs of the original from and to
     real vertices; copies are never adjacent to each other or to their
     original.  Returns (dup_digraph, imap) where imap maps original ids to
-    copy ids.  Origins are reset so later contractions are tracked
-    relative to this graph.
+    copy ids.  Copies get ids above every existing one.
     """
 
     base = max(digraph.vertices, default=-1) + 1
@@ -203,58 +201,24 @@ def duplicate_multi_cut(digraph, multi_cut):
             arcs.add((u, copy))
         for v in digraph.out_neighbors(x):
             arcs.add((copy, v))
-    dup = Digraph(digraph.vertices | set(imap.values()), arcs)
-    return dup.with_fresh_origins(), imap
+    return Digraph(digraph.vertices | set(imap.values()), arcs), imap
 
 
 def contract_pendant_arcs(digraph, pendant_arcs):
-    """Identify the endpoints of each single-stranding arc.
+    """Contract each single-stranding arc.
 
     The arcs form a matching (their endpoint sets are pairwise disjoint),
     so contraction order does not matter; they are processed sorted.
-    Returns (contracted, steps) with the same step convention as the
-    stranding phase.
     """
 
     touched = set()
     for x, y in pendant_arcs:
         assert x not in touched and y not in touched, "pendant arcs must form a matching"
         touched.update((x, y))
-    steps = []
     current = digraph
     for arc in sorted(pendant_arcs):
-        steps.append((current, arc))
-        current = identify_arc_endpoints(current, arc)
-    return current, steps
-
-
-class TwoConnectedAnalysis:
-    """Vertex counts on a rooted 2-connected digraph, root in-arcs removed.
-
-    The counting bounds this analysis relies on assume the root has no
-    incoming arcs, and dropping them never changes which branchings exist,
-    so alpha (in-degree >= 3), beta (vertices with an in-neighbor that is
-    not an out-neighbor) and the boundary set are all computed on the
-    normalized view.
-    """
-
-    __slots__ = ("alpha", "beta", "high", "nice", "boundary")
-
-    def __init__(self, alpha, beta, high, nice, boundary):
-        self.alpha = alpha
-        self.beta = beta
-        self.high = high
-        self.nice = nice
-        self.boundary = boundary
-
-
-def two_connected_analysis(digraph, root):
-    assert is_rooted_2connected(digraph, root), "analysis needs a rooted 2-connected digraph"
-    root_in = {(u, root) for u in digraph.in_neighbors(root)}
-    view = digraph.without_arcs(root_in)
-    high = high_indegree_vertices(view)
-    nice = nice_vertices(view)
-    return TwoConnectedAnalysis(len(high), len(nice), high, nice, high | nice)
+        current = contract_arc_directed(current, arc)
+    return current
 
 
 def reduce_lob(digraph, root, k):
@@ -262,10 +226,11 @@ def reduce_lob(digraph, root, k):
 
     Returns GuaranteedYes or Reduced.  Raises RootDisconnected when the
     root does not reach every vertex, since no spanning branching can
-    exist then.
+    exist then, and ValueError when k < 1.
     """
 
-    assert k >= 1
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     missing = digraph.vertices - reachable(digraph, root)
     if missing:
         raise RootDisconnected(root, missing)
@@ -289,35 +254,46 @@ def reduce_lob(digraph, root, k):
     k_eff = k + len(profile.multi_cut)
     report.k_effective = k_eff
 
-    dup, imap = duplicate_multi_cut(reduced, profile.multi_cut)
+    dup, _ = duplicate_multi_cut(reduced, profile.multi_cut)
     report.dup_n = dup.n
     report.dup_m = dup.m
-    two_connected, _ = contract_pendant_arcs(dup, profile.pendant_arcs)
+    two_connected = contract_pendant_arcs(dup, profile.pendant_arcs)
+    assert is_rooted_2connected(two_connected, root), (
+        "analysis needs a rooted 2-connected digraph")
 
-    analysis = two_connected_analysis(two_connected, root)
-    report.alpha = analysis.alpha
-    report.beta = analysis.beta
+    # The counting bounds assume the root has no incoming arcs, and
+    # dropping them never changes which branchings exist, so alpha
+    # (in-degree >= 3), beta (vertices with an in-neighbor that is not an
+    # out-neighbor) and the boundary are counted without them.
+    view = two_connected.without_arcs(
+        {(u, root) for u in two_connected.in_neighbors(root)})
+    high = high_indegree_vertices(view)
+    nice = nice_vertices(view)
+    report.alpha = len(high)
+    report.beta = len(nice)
 
-    if analysis.alpha >= HIGH_INDEGREE_FACTOR * k_eff:
+    if report.alpha >= HIGH_INDEGREE_FACTOR * k_eff:
         report.outcome = "guaranteed"
         report.reason = "high_indegree_count"
         return GuaranteedYes(root, k, "high_indegree_count", reduced, steps,
                              None, report)
-    if analysis.beta >= NICE_FACTOR * k_eff:
+    if report.beta >= NICE_FACTOR * k_eff:
         report.outcome = "guaranteed"
         report.reason = "nice_vertex_count"
         return GuaranteedYes(root, k, "nice_vertex_count", reduced, steps,
                              None, report)
 
-    report.boundary_size = len(analysis.boundary)
-    assert len(analysis.boundary) < (HIGH_INDEGREE_FACTOR + NICE_FACTOR) * k_eff
+    boundary = high | nice
+    report.boundary_size = len(boundary)
+    assert len(boundary) < (HIGH_INDEGREE_FACTOR + NICE_FACTOR) * k_eff
 
-    expanded = set()
-    for v in analysis.boundary:
-        expanded.update(two_connected.origins[v])
-    selected = frozenset(expanded & reduced.vertices)
+    # Each boundary vertex stands for itself plus the head of the pendant
+    # arc it absorbed, if any: the pendant arcs form a matching and the
+    # merged vertex keeps the tail's id. Copies are not in `reduced`.
+    absorbed = {y for x, y in profile.pendant_arcs if x in boundary}
+    selected = frozenset((boundary | absorbed) & reduced.vertices)
     report.selected_size = len(selected)
-    assert len(selected) <= 2 * len(analysis.boundary)
+    assert len(selected) <= 2 * len(boundary)
 
     residue = underlying_graph(reduced.without_vertices(selected))
     report.residual_width = treewidth_upper_bound(residue)
@@ -413,6 +389,8 @@ def solve_lob(digraph, k, root=None, witness=True):
 
     if k < 1:
         raise ValueError("k must be at least 1")
+    if root is not None and root not in digraph.vertices:
+        raise ValueError(f"root {root} not in digraph")
     n = digraph.n
     reports = []
     if n == 0:
@@ -423,7 +401,6 @@ def solve_lob(digraph, k, root=None, witness=True):
 
     roots = [root] if root is not None else sorted(digraph.vertices)
     for r in roots:
-        assert r in digraph.vertices
         try:
             outcome = reduce_lob(digraph, r, k)
         except RootDisconnected as exc:
@@ -447,9 +424,7 @@ def solve_lob(digraph, k, root=None, witness=True):
                 validate_out_tree(digraph, tree, spanning=True)
                 assert len(tree.leaves()) >= k
             return LeafSearchResult(True, k, r, tree, reports)
-        answer = dp_max_leaves(
-            outcome.digraph, r,
-            make_nice(greedy_decomposition(underlying_graph(outcome.digraph))))
+        answer = dp_max_leaves(outcome.digraph, r)
         assert answer is not None
         count, tree = answer
         if count >= k:

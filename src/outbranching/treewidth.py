@@ -18,6 +18,10 @@ from __future__ import annotations
 
 from .digraph import UndirectedGraph
 
+# Largest component the exact held-subset program takes: its tables hold
+# one entry per vertex subset of a component.
+EXACT_LIMIT = 14
+
 
 class TreeDecomposition:
     """Bags on the nodes of a tree."""
@@ -246,34 +250,35 @@ def _exact_order_component(graph, comp):
     return order_rev
 
 
-def exact_treewidth_small(graph, max_n=14):
+def exact_treewidth_small(graph):
     """Exact treewidth and an optimal-width decomposition.
 
-    Every connected component must have at most `max_n` vertices; larger
-    inputs raise ValueError rather than silently falling back.
+    Every connected component must have at most `EXACT_LIMIT` vertices;
+    larger inputs raise ValueError rather than silently falling back.
     Returns (width, decomposition).
     """
 
     order = []
     for comp in graph.components():
-        if len(comp) > max_n:
-            raise ValueError(f"component of size {len(comp)} exceeds exact limit {max_n}")
+        if len(comp) > EXACT_LIMIT:
+            raise ValueError(f"component of size {len(comp)} exceeds exact limit {EXACT_LIMIT}")
         order.extend(_exact_order_component(graph, comp))
     td = decomposition_from_ordering(graph, order)
     return td.width, td
 
 
-def treewidth_upper_bound(graph, exact_limit=14, heuristic="min_fill"):
-    """Per-component width bound: exact when the component is small enough,
-    heuristic otherwise.  Returns -1 for the empty graph."""
+def treewidth_upper_bound(graph):
+    """Per-component width bound: exact when the component has at most
+    `EXACT_LIMIT` vertices, min-fill otherwise.  Returns -1 for the empty
+    graph."""
 
     best = -1
     for comp in graph.components():
         sub = graph.induced(comp)
-        if len(comp) <= exact_limit:
-            width, _ = exact_treewidth_small(sub, max_n=exact_limit)
+        if len(comp) <= EXACT_LIMIT:
+            width, _ = exact_treewidth_small(sub)
         else:
-            width = greedy_decomposition(sub, heuristic).width
+            width = greedy_decomposition(sub).width
         best = max(best, width)
     return best
 

@@ -206,7 +206,7 @@ def test_criterion_5_claim_properties():
                         forcing_ok += 1
                 if squeeze_ok < 120:
                     dup, _ = duplicate_multi_cut(d1, profile.multi_cut)
-                    squeezed, _ = contract_pendant_arcs(
+                    squeezed = contract_pendant_arcs(
                         dup, profile.pendant_arcs)
                     if not is_rooted_2connected(squeezed, r):
                         failures.append(("squeeze", d.arcs, r))

@@ -129,6 +129,19 @@ def test_parse_error_exit_two(capsys, tmp_path):
     assert err.startswith("error: parse:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve-lob",),
+    ("verify", "--problem", "lob"),
+])
+def test_unknown_root_exit_two(capsys, tmp_path, argv):
+    path = write_instance(tmp_path, "3 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, argv[0], "--input", path, "--k", "2",
+                         "--root", "7", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid: root 7 not in digraph\n"
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "solve-lob", "--input",
                        str(tmp_path / "nope.txt"), "--k", "1")

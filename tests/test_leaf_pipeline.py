@@ -72,6 +72,14 @@ def test_solve_single_vertex():
     assert not solve_lob(d, 2).satisfiable
 
 
+def test_bad_root_and_k_raise_value_error():
+    d = Digraph.of(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="root 7 not in digraph"):
+        solve_lob(d, 1, root=7)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        reduce_lob(d, 0, 0)
+
+
 def test_reduce_raises_on_disconnected_root():
     d = Digraph.of(3, [(0, 1)])
     with pytest.raises(RootDisconnected):
@@ -182,7 +190,7 @@ def test_pendant_contraction_reaches_rooted_2connected():
             reduced, _ = exhaust_stranding_contractions(d, r)
             profile = cut_profile(reduced, r)
             dup, _ = duplicate_multi_cut(reduced, profile.multi_cut)
-            squeezed, _ = contract_pendant_arcs(dup, profile.pendant_arcs)
+            squeezed = contract_pendant_arcs(dup, profile.pendant_arcs)
             assert is_rooted_2connected(squeezed, r), (d.arcs, r)
             checked += 1
     assert checked >= 40

@@ -60,7 +60,7 @@ def test_exact_decompositions_are_valid_and_optimal_width():
 
 def test_exact_rejects_large_components():
     with pytest.raises(ValueError):
-        exact_treewidth_small(path_graph(20), max_n=14)
+        exact_treewidth_small(path_graph(20))
 
 
 def test_exact_handles_disconnected():
@@ -104,7 +104,7 @@ def test_upper_bound_mixes_exact_and_greedy():
     g = UndirectedGraph.of(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
     assert treewidth_upper_bound(g) == 2
     assert treewidth_upper_bound(UndirectedGraph.of(0, [])) == -1
-    assert treewidth_upper_bound(path_graph(30), exact_limit=5) == 1
+    assert treewidth_upper_bound(path_graph(30)) == 1
 
 
 def test_ordering_decomposition_respects_ordering_quality():
