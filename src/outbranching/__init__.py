@@ -29,7 +29,7 @@ from .connectivity import (
     arcs_disconnecting_two,
     CutProfile,
 )
-from .errors import BudgetError, DPInvariantError, KernelContractError, RootDisconnected
+from .errors import BudgetError, DPInvariantError, RootDisconnected
 from .oracle import (
     enum_arborescences,
     count_arborescences,
@@ -61,14 +61,12 @@ from .internal_pipeline import (
     LayerPartition,
     SubInstance,
     InternalSearchResult,
-    kernel_stage,
     build_partitions,
     generate_collection,
     expand_minimal_tree,
     solve_iob,
 )
 from .ballcover import (
-    BallCoverConfig,
     PathSearchResult,
     ball,
     solve_kpath_ballcover,

@@ -17,7 +17,7 @@ import io
 import math
 import time
 
-from .errors import BudgetError, KernelContractError, RootDisconnected
+from .errors import BudgetError, RootDisconnected
 from .digraph import underlying_graph
 from .leaf_pipeline import GuaranteedYes, Reduced, reduce_lob, solve_lob
 from .internal_pipeline import solve_iob
@@ -33,7 +33,13 @@ ANALYZE_FIELDS = (
 
 
 def analyze(digraph, root, k):
-    """Structural report for one rooted instance; never raises."""
+    """Structural report for one rooted instance.
+
+    Raises ValueError for a root outside the digraph or k < 1.  A root
+    that does not reach every vertex gives outcome "disconnected".
+    """
+    if root not in digraph.vertices:
+        raise ValueError(f"root {root} not in digraph")
     report = {name: None for name in ANALYZE_FIELDS}
     report["root"] = root
     report["k"] = k
@@ -83,8 +89,8 @@ def bench(suite, budget=None):
 
     Each entry is a dict: {"spec": GeneratorSpec or kwargs dict,
     "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
-    "b": int (kpath only)}. Budget and contract failures land in the
-    row's error column and the run keeps going.
+    "b": int (kpath only)}. Budget failures land in the row's error
+    column and the run keeps going.
     """
     rows = []
     for index, entry in enumerate(suite):
@@ -125,7 +131,7 @@ def bench(suite, budget=None):
                 row["outcome"] = "hit" if res.satisfiable else "exhausted"
             else:
                 raise ValueError(f"unknown problem {problem!r}")
-        except (BudgetError, KernelContractError) as exc:
+        except BudgetError as exc:
             row["error"] = str(exc)
         row["time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         rows.append(row)

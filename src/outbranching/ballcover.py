@@ -25,16 +25,6 @@ from .treedp import dp_longest_path
 DEFAULT_SUBSET_BUDGET = 200000
 
 
-class BallCoverConfig:
-    __slots__ = ("b", "radius")
-
-    def __init__(self, b, k):
-        assert b >= 1
-        self.b = b
-        self.radius = -(-k // b)
-        assert k < b or self.radius >= 1
-
-
 def ball(graph, center, radius):
     """Vertices within undirected distance ``radius`` of ``center``."""
     assert radius >= 0
@@ -66,9 +56,9 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     n = digraph.n
     if not 1 <= b <= n:
         raise ValueError(f"b must be in 1..{n}, got {b}")
-    config = BallCoverConfig(b, k)
+    radius = -(-k // b)
     stats = {
-        "radius": config.radius,
+        "radius": radius,
         "subsets": 0,
         "dp_runs": 0,
         "cache_hits": 0,
@@ -79,7 +69,7 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     if budget is not None and total > budget:
         raise BudgetError("ball-cover subsets", total, budget)
     graph = underlying_graph(digraph)
-    balls = {v: ball(graph, v, config.radius) for v in digraph.vertices}
+    balls = {v: ball(graph, v, radius) for v in digraph.vertices}
     cache = {}
     for centers in combinations(sorted(digraph.vertices), b):
         stats["subsets"] += 1

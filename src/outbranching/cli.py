@@ -4,10 +4,10 @@ Subcommands: solve-lob, solve-iob, solve-kpath, verify, analyze,
 generate, bench. Instances travel in the plain text format ("n m", arc
 lines, optional "root r" line); results are JSON by default, CSV on
 request. Exit codes: 0 success (a "no" answer is a success), 2 for
-unusable input or arguments, 3 for budget or kernel-contract failures,
-4 when verify catches a solver/oracle mismatch, 5 when the dynamic
-program breaks one of its own invariants (a bug, not an answer). Every
-nonzero exit prints one "error: ..." line on stderr.
+unusable input or arguments, 3 for budget failures, 4 when verify
+catches a solver/oracle mismatch, 5 when the dynamic program breaks one
+of its own invariants (a bug, not an answer). Every nonzero exit prints
+one "error: ..." line on stderr.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import json
 import sys
 
 from .digraph import ParseError, parse_instance, serialize_instance
-from .errors import BudgetError, DPInvariantError, KernelContractError
+from .errors import BudgetError, DPInvariantError
 from .oracle import brute_max_leaves, brute_max_internal, brute_longest_path
 from .leaf_pipeline import solve_lob
 from .internal_pipeline import solve_iob, DEFAULT_COLLECTION_BUDGET
@@ -289,9 +289,6 @@ def main(argv=None):
         return 2
     except BudgetError as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
-        return 3
-    except KernelContractError as exc:
-        print(f"error: contract: {exc}", file=sys.stderr)
         return 3
     except DPInvariantError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -64,9 +64,6 @@ class Digraph:
     def in_neighbors(self, v):
         return self._pred[v]
 
-    def out_degree(self, v):
-        return len(self._succ[v])
-
     def in_degree(self, v):
         return len(self._pred[v])
 
@@ -135,21 +132,12 @@ class UndirectedGraph:
     def neighbors(self, v):
         return self._adj[v]
 
-    def degree(self, v):
-        return len(self._adj[v])
-
-    def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def induced(self, keep):
         keep = frozenset(keep)
         if not keep <= self.vertices:
             raise ValueError("induced() got vertices outside the graph")
         edges = {(u, v) for (u, v) in self.edges if u in keep and v in keep}
         return UndirectedGraph(keep, edges)
-
-    def without_vertices(self, drop):
-        return self.induced(self.vertices - frozenset(drop))
 
     def components(self):
         """Connected components as a sorted list of frozensets."""

@@ -15,10 +15,6 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
-class KernelContractError(ValueError):
-    """A kernelization plug-in violated its contract."""
-
-
 class RootDisconnected(Exception):
     """Some vertex is unreachable from the chosen root, so no spanning
     out-tree rooted there exists. Signals "no" for that root."""

@@ -18,10 +18,6 @@ ceil(2*sqrt(k)) vertices; deleting the rest of that class leaves a
 shallow digraph that still contains the witness.  The solver enumerates
 every (class, kept-subset) choice and runs the size-capped internal-DP
 on each residual digraph.
-
-A kernelization hook runs before everything else.  The default is the
-identity; a plugged-in kernel must only delete vertices and must output
-at most 8k^2+6k of them, which is checked.
 """
 
 import math
@@ -29,7 +25,7 @@ from itertools import combinations
 
 from .digraph import bfs_layers, underlying_graph, validate_out_tree, OutTree
 from .connectivity import reachable
-from .errors import BudgetError, KernelContractError
+from .errors import BudgetError
 from .treedp import dp_max_internal_outtree
 
 DEFAULT_COLLECTION_BUDGET = 200000
@@ -95,37 +91,6 @@ class SubInstance:
         if part_index is not None:
             assert len(self.kept) <= ceil_sqrt(4 * k)
             assert self.kept <= digraph.vertices
-
-
-def kernel_stage(digraph, k, kernel=None):
-    """Run the optional kernelization plug-in and check its contract.
-
-    The default is the identity.  A plug-in gets (digraph, k) and must
-    return (smaller_digraph, smaller_k) where the output digraph is an
-    induced subdigraph (vertex deletion only), the parameter does not
-    grow, and the vertex count is at most 8k^2+6k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if kernel is None:
-        return digraph, k
-    out, k2 = kernel(digraph, k)
-    if not isinstance(k2, int) or k2 < 1 or k2 > k:
-        raise KernelContractError(
-            f"kernel returned parameter {k2!r}, expected 1..{k}")
-    if not out.vertices <= digraph.vertices:
-        extra = sorted(out.vertices - digraph.vertices)
-        raise KernelContractError(f"kernel invented vertices {extra}")
-    induced = digraph.induced(out.vertices)
-    if out.arcs != induced.arcs:
-        raise KernelContractError(
-            "kernel output is not an induced subdigraph; "
-            "only vertex deletion is allowed")
-    bound = 8 * k * k + 6 * k
-    if out.n > bound:
-        raise KernelContractError(
-            f"kernel output has {out.n} vertices, contract allows {bound}")
-    return out, k2
 
 
 def build_partitions(graph, root, k):
@@ -284,34 +249,30 @@ def _solve_one_root(digraph, k, root, budget, cache):
     return report, None
 
 
-def solve_iob(digraph, k, root=None, kernel=None,
-              budget=DEFAULT_COLLECTION_BUDGET, witness=True):
+def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
+              witness=True):
     """Decide whether some spanning out-tree has at least k internal
     vertices, rooted at the given vertex or at any vertex.
 
     Returns an InternalSearchResult; the witness, when requested and
-    found, is a spanning out-tree of the post-kernel digraph with at
-    least k internal vertices.
+    found, is a spanning out-tree of the digraph with at least k
+    internal vertices.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    core, k2 = kernel_stage(digraph, k, kernel)
-    if root is not None and root not in core.vertices:
-        if root in digraph.vertices:
-            raise KernelContractError(
-                f"kernel deleted the requested root {root}")
+    if root is not None and root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
-    roots = [root] if root is not None else sorted(core.vertices)
+    roots = [root] if root is not None else sorted(digraph.vertices)
     reports = []
     for r in roots:
         cache = {}
-        report, tree = _solve_one_root(core, k2, r, budget, cache)
+        report, tree = _solve_one_root(digraph, k, r, budget, cache)
         reports.append(report)
         if tree is None:
             continue
         grown = None
         if witness:
-            grown = expand_minimal_tree(core, r, tree)
-            assert len(grown.internal_vertices()) >= k2
+            grown = expand_minimal_tree(digraph, r, tree)
+            assert len(grown.internal_vertices()) >= k
         return InternalSearchResult(True, k, r, grown, reports)
     return InternalSearchResult(False, k, None, None, reports)

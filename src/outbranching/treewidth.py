@@ -1,11 +1,11 @@
-"""Tree decompositions: greedy heuristics, exact small-graph widths, nice form.
+"""Tree decompositions: greedy min-fill, exact small-graph widths, nice form.
 
 A decomposition is stored as bags indexed by node id plus the edges of the
 decomposition tree.  Widths follow the usual convention (max bag size minus
 one), so the empty bag gives width -1.
 
 Two construction routes are provided.  `greedy_decomposition` runs an
-elimination-ordering heuristic (min-fill by default) and is the workhorse for
+elimination-ordering heuristic (min-fill) and is the workhorse for
 graphs of any size.  `exact_treewidth_small` runs a held-subset dynamic
 program over bitmasks and is only usable for small graphs; it exists so tests
 and analyses can certify optimal widths on instances where that is feasible.
@@ -111,23 +111,19 @@ def _eliminate(adj, v):
     return nb
 
 
-def _greedy_order(graph, heuristic):
+def _greedy_order(graph):
     adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
     order = []
     while adj:
         best_score = None
         best_v = None
         for v in sorted(adj):
-            nb = adj[v]
-            if heuristic == "min_degree":
-                score = len(nb)
-            else:
-                nbl = sorted(nb)
-                score = 0
-                for i, a in enumerate(nbl):
-                    for b in nbl[i + 1:]:
-                        if b not in adj[a]:
-                            score += 1
+            nbl = sorted(adj[v])
+            score = 0
+            for i, a in enumerate(nbl):
+                for b in nbl[i + 1:]:
+                    if b not in adj[a]:
+                        score += 1
             if best_score is None or score < best_score:
                 best_score = score
                 best_v = v
@@ -164,16 +160,14 @@ def decomposition_from_ordering(graph, order):
     return TreeDecomposition(bags, edges)
 
 
-def greedy_decomposition(graph, heuristic="min_fill"):
-    """Heuristic decomposition via an elimination ordering.
+def greedy_decomposition(graph):
+    """Min-fill decomposition via an elimination ordering.
 
-    `heuristic` is "min_fill" or "min_degree"; ties break toward the lowest
-    vertex id, so the result is deterministic.  Works on disconnected graphs.
+    Ties break toward the lowest vertex id, so the result is deterministic.
+    Works on disconnected graphs.
     """
 
-    if heuristic not in ("min_fill", "min_degree"):
-        raise ValueError(f"unknown heuristic {heuristic!r}")
-    return decomposition_from_ordering(graph, _greedy_order(graph, heuristic))
+    return decomposition_from_ordering(graph, _greedy_order(graph))
 
 
 def _component_masks(graph, comp):

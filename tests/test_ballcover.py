@@ -2,7 +2,6 @@ import pytest
 
 from outbranching import Digraph, BudgetError, brute_longest_path, underlying_graph
 from outbranching.ballcover import (
-    BallCoverConfig,
     PathSearchResult,
     ball,
     solve_kpath_ballcover,
@@ -27,10 +26,10 @@ def test_ball_stops_at_component():
 
 
 def test_radius_is_ceiling():
-    assert BallCoverConfig(2, 5).radius == 3
-    assert BallCoverConfig(2, 4).radius == 2
-    assert BallCoverConfig(3, 1).radius == 1
-    assert BallCoverConfig(1, 6).radius == 6
+    path = Digraph.of(7, [(i, i + 1) for i in range(6)])
+    for k, b, radius in ((5, 2, 3), (4, 2, 2), (1, 3, 1), (6, 1, 6)):
+        res = solve_kpath_ballcover(path, k, b)
+        assert res.stats["radius"] == radius
 
 
 def test_directed_cycle_single_ball():
@@ -105,7 +104,6 @@ def test_monotone_in_region_growth():
 
 def test_cover_lemma_on_oracle_paths():
     """Centers every radius steps along a real path cover it."""
-    from outbranching.ballcover import BallCoverConfig
     checked = 0
     for d in random_corpus(30, seed=421, n_lo=5, n_hi=8, density=1.6):
         k, _ = brute_longest_path(d)
@@ -116,7 +114,7 @@ def test_cover_lemma_on_oracle_paths():
         for b in (2, 3):
             if b > d.n:
                 continue
-            radius = BallCoverConfig(b, k).radius
+            radius = -(-k // b)
             centers = [path[min(i * radius, k)] for i in range(b)]
             g = underlying_graph(d)
             region = frozenset().union(

@@ -132,6 +132,8 @@ def test_parse_error_exit_two(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("solve-lob",),
     ("verify", "--problem", "lob"),
+    ("analyze",),
+    ("solve-iob",),
 ])
 def test_unknown_root_exit_two(capsys, tmp_path, argv):
     path = write_instance(tmp_path, "3 2\n0 1\n1 2\n")

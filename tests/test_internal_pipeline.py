@@ -3,7 +3,6 @@ import pytest
 from outbranching import (
     BudgetError,
     Digraph,
-    KernelContractError,
     brute_max_internal,
     enum_out_trees,
     reachable,
@@ -18,7 +17,6 @@ from outbranching.internal_pipeline import (
     collection_size,
     expand_minimal_tree,
     generate_collection,
-    kernel_stage,
     solve_iob,
     witness_size_cap,
 )
@@ -119,52 +117,6 @@ def test_budget_error_before_any_yield():
         next(gen)
     with pytest.raises(BudgetError):
         solve_iob(chain, 2, root=0, budget=5)
-
-
-def test_kernel_passthrough_and_contract_checks():
-    d = bidirected_chain(4)
-    assert kernel_stage(d, 3) == (d, 3)
-    assert kernel_stage(d, 3, kernel=lambda g, k: (g, k)) == (d, 3)
-
-    def inventing(g, k):
-        return Digraph.of(g.n + 1, []), k
-
-    with pytest.raises(KernelContractError):
-        kernel_stage(d, 3, kernel=inventing)
-
-    def arc_dropping(g, k):
-        return g.without_arcs({(0, 1)}), k
-
-    with pytest.raises(KernelContractError):
-        kernel_stage(d, 3, kernel=arc_dropping)
-
-    def oversized(g, k):
-        return g, 1  # 4 vertices > 8+6 is false, so shrink the bound
-
-    big = bidirected_chain(15)
-    with pytest.raises(KernelContractError):
-        kernel_stage(big, 1, kernel=lambda g, k: (g, k))
-
-    with pytest.raises(KernelContractError):
-        kernel_stage(d, 3, kernel=lambda g, k: (g, k + 1))
-
-    def shrinking(g, k):
-        keep = sorted(g.vertices)[:2]
-        return g.induced(keep), k
-
-    out, k2 = kernel_stage(d, 3, kernel=shrinking)
-    assert out.vertices == frozenset({0, 1}) and k2 == 3
-
-
-def test_kernel_deleting_requested_root():
-    d = bidirected_chain(4)
-
-    def dropping(g, k):
-        return g.induced(g.vertices - {3}), k
-
-    with pytest.raises(KernelContractError):
-        solve_iob(d, 1, root=3, kernel=dropping)
-    assert solve_iob(d, 1, root=0, kernel=dropping).satisfiable
 
 
 def test_expand_keeps_arcs_and_internal_count():

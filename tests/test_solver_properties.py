@@ -1,0 +1,67 @@
+"""Property-based differential tests of the two out-branching solvers.
+
+Random small digraphs, a drawn root (or none, which scans every root) and
+a drawn k; every answer must match the brute-force oracle and every "yes"
+must carry a spanning witness that meets k.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from outbranching import (
+    Digraph,
+    brute_max_internal,
+    brute_max_leaves,
+    solve_iob,
+    solve_lob,
+    validate_out_tree,
+)
+
+
+@st.composite
+def solver_cases(draw):
+    """A digraph on at most 6 vertices, a root or None, and k in 1..n.
+
+    Every vertex after the first in a drawn order gets an in-arc from an
+    earlier one, so the first reaches everything; more arcs come on top.
+    """
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    arcs = {(order[draw(st.integers(0, i - 1))], order[i])
+            for i in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if pairs:
+        arcs |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    root = draw(st.none() | st.integers(0, n - 1))
+    k = draw(st.integers(1, n))
+    return Digraph.of(n, arcs), root, k
+
+
+def _check(d, root, k, res, oracle, count):
+    roots = [root] if root is not None else sorted(d.vertices)
+    hits = [r for r in roots if (oracle(d, r) or 0) >= k]
+    assert res.satisfiable == bool(hits), (d.arcs, root, k)
+    if not hits:
+        assert res.witness is None
+        return
+    assert res.root == hits[0]
+    tree = res.witness
+    assert tree is not None and tree.root == res.root
+    validate_out_tree(d, tree, spanning=True)
+    assert count(tree) >= k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(solver_cases())
+def test_solve_lob_matches_oracle(case):
+    d, root, k = case
+    res = solve_lob(d, k, root=root, witness=True)
+    _check(d, root, k, res, brute_max_leaves, lambda t: len(t.leaves()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(solver_cases())
+def test_solve_iob_matches_oracle(case):
+    d, root, k = case
+    res = solve_iob(d, k, root=root, witness=True)
+    _check(d, root, k, res, brute_max_internal,
+           lambda t: len(t.internal_vertices()))
