@@ -33,7 +33,7 @@ def main():
     for i, part in enumerate(plan.parts):
         print(f"  part {i}: {sorted(part)}")
 
-    subs = list(generate_collection(d, k, root))
+    subs = list(generate_collection(d, k, plan))
     zcap = ceil_sqrt(4 * k)
     print(f"\nsub-instances generated: {len(subs)}, each deleting one part "
           f"except a kept set Z with |Z| <= {zcap}")

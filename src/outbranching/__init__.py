@@ -11,6 +11,7 @@ from .digraph import (
     UndirectedGraph,
     OutTree,
     ParseError,
+    SearchResult,
     underlying_graph,
     contract_arc_directed,
     identify_arc_endpoints,
@@ -53,14 +54,12 @@ from .leaf_pipeline import (
     GuaranteedYes,
     Reduced,
     StructureReport,
-    LeafSearchResult,
     reduce_lob,
     solve_lob,
 )
 from .internal_pipeline import (
     LayerPartition,
     SubInstance,
-    InternalSearchResult,
     build_partitions,
     generate_collection,
     expand_minimal_tree,

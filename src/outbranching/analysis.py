@@ -65,7 +65,8 @@ def analyze(digraph, root, k):
     report["s_size"] = len(s)
     reduced_ug = underlying_graph(outcome.digraph)
     report["tw_reduced"] = treewidth_upper_bound(reduced_ug)
-    report["tw_residual"] = sr.residual_width
+    residue = underlying_graph(outcome.digraph.without_vertices(s))
+    report["tw_residual"] = treewidth_upper_bound(residue)
     if s:
         report["ratio"] = report["tw_reduced"] / math.sqrt(len(s))
     return report

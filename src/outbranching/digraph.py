@@ -1,5 +1,6 @@
 """Core graph types: directed graphs and their contractions, underlying
-undirected graphs, out-trees, and the plain-text instance format.
+undirected graphs, out-trees and the search results that carry them, and
+the plain-text instance format.
 
 Representation decisions that the rest of the package relies on:
 
@@ -284,17 +285,6 @@ class OutTree:
     def internal_vertices(self):
         return frozenset(v for v, cs in self._children.items() if cs)
 
-    def subtree(self, v):
-        """Vertices of the subtree hanging at v, v included."""
-        out = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for c in self._children[x]:
-                out.add(c)
-                stack.append(c)
-        return frozenset(out)
-
     def __eq__(self, other):
         if not isinstance(other, OutTree):
             return NotImplemented
@@ -306,6 +296,20 @@ class OutTree:
     def __repr__(self):
         return (f"OutTree(root={self.root}, size={self.size}, "
                 f"leaves={len(self.leaves())})")
+
+
+class SearchResult:
+    """Outcome of a spanning out-tree search: the first root that
+    succeeded, its witness if requested, and one report per root tried."""
+
+    __slots__ = ("satisfiable", "k", "root", "witness", "reports")
+
+    def __init__(self, satisfiable, k, root, witness, reports):
+        self.satisfiable = satisfiable
+        self.k = k
+        self.root = root
+        self.witness = witness
+        self.reports = reports
 
 
 def validate_out_tree(digraph, tree, spanning=False):

@@ -23,7 +23,8 @@ on each residual digraph.
 import math
 from itertools import combinations
 
-from .digraph import bfs_layers, underlying_graph, validate_out_tree, OutTree
+from .digraph import (OutTree, SearchResult, bfs_layers, underlying_graph,
+                      validate_out_tree)
 from .connectivity import reachable
 from .errors import BudgetError
 from .treedp import dp_max_internal_outtree
@@ -54,6 +55,7 @@ class SingleInstance:
     """Marker: the digraph is shallow enough to solve in one piece."""
 
     __slots__ = ("root", "depth")
+    size = 1
 
     def __init__(self, root, depth):
         self.root = root
@@ -61,18 +63,29 @@ class SingleInstance:
 
 
 class LayerPartition:
-    __slots__ = ("root", "layers", "parts", "spacing")
+    """Interleaved depth classes; size counts the plan's sub-instances."""
 
-    def __init__(self, root, layers, parts, spacing):
+    __slots__ = ("root", "parts", "spacing", "size")
+
+    def __init__(self, root, layers, parts, spacing, k):
         assert spacing >= 2
         self.root = root
-        self.layers = layers
         self.parts = parts
         self.spacing = spacing
+        zcap = ceil_sqrt(4 * k)
+        self.size = 0
         seen = set()
         for part in parts:
             assert not (part & seen)
             seen |= part
+            if root in part:
+                pool = len(part) - 1
+                room = zcap - 1
+            else:
+                pool = len(part)
+                room = zcap
+            self.size += sum(math.comb(pool, j)
+                             for j in range(min(pool, room) + 1))
         assert seen == frozenset().union(*layers)
 
 
@@ -113,40 +126,21 @@ def build_partitions(graph, root, k):
     for q in range(spacing):
         block = frozenset().union(*layers[q::spacing])
         parts.append(block)
-    return LayerPartition(root, layers, parts, spacing)
+    return LayerPartition(root, layers, parts, spacing, k)
 
 
-def collection_size(plan, k):
-    """Closed-form count of the sub-instances a plan will generate."""
-    if isinstance(plan, SingleInstance):
-        return 1
-    zcap = ceil_sqrt(4 * k)
-    total = 0
-    for part in plan.parts:
-        if plan.root in part:
-            pool = len(part) - 1
-            room = zcap - 1
-        else:
-            pool = len(part)
-            room = zcap
-        total += sum(math.comb(pool, j) for j in range(min(pool, room) + 1))
-    return total
+def generate_collection(digraph, k, plan, budget=DEFAULT_COLLECTION_BUDGET):
+    """Yield every sub-instance of a build_partitions plan, lazily.
 
-
-def generate_collection(digraph, k, root, budget=DEFAULT_COLLECTION_BUDGET):
-    """Yield every sub-instance of the layered collection, lazily.
-
-    The count is known in closed form before anything is built; when it
-    exceeds the budget a BudgetError is raised instead of truncating.
+    The plan's closed-form size is checked before anything is built;
+    past the budget a BudgetError is raised instead of truncating.
     """
-    assert reachable(digraph, root) == digraph.vertices
-    plan = build_partitions(underlying_graph(digraph), root, k)
+    root = plan.root
     if isinstance(plan, SingleInstance):
         yield SubInstance(digraph, root, k, None, frozenset())
         return
-    total = collection_size(plan, k)
-    if budget is not None and total > budget:
-        raise BudgetError("layered collection", total, budget)
+    if budget is not None and plan.size > budget:
+        raise BudgetError("layered collection", plan.size, budget)
     zcap = ceil_sqrt(4 * k)
     for a, part in enumerate(plan.parts):
         pool = sorted(part - {root})
@@ -167,8 +161,8 @@ def expand_minimal_tree(digraph, root, tree):
     arc of the input tree survives and no internal vertex turns into a
     leaf.
     """
-    if reachable(digraph, root) != digraph.vertices:
-        missing = sorted(digraph.vertices - reachable(digraph, root))
+    missing = sorted(digraph.vertices - reachable(digraph, root))
+    if missing:
         raise ValueError(f"vertices {missing} are unreachable from {root}")
     validate_out_tree(digraph, tree)
     assert tree.root == root
@@ -193,18 +187,7 @@ def expand_minimal_tree(digraph, root, tree):
     return grown
 
 
-class InternalSearchResult:
-    __slots__ = ("satisfiable", "k", "root", "witness", "reports")
-
-    def __init__(self, satisfiable, k, root, witness, reports):
-        self.satisfiable = satisfiable
-        self.k = k
-        self.root = root
-        self.witness = witness
-        self.reports = reports
-
-
-def _solve_one_root(digraph, k, root, budget, cache):
+def _solve_one_root(digraph, k, root, budget):
     """Search the layered collection for one root.
 
     Returns (report, tree-or-None); the tree is a small witness inside
@@ -226,9 +209,10 @@ def _solve_one_root(digraph, k, root, budget, cache):
         report["outcome"] = "infeasible_k"
         return report, None
     plan = build_partitions(underlying_graph(digraph), root, k)
-    report["collection_size"] = collection_size(plan, k)
+    report["collection_size"] = plan.size
     cap = witness_size_cap(k)
-    for sub in generate_collection(digraph, k, root, budget):
+    cache = {}
+    for sub in generate_collection(digraph, k, plan, budget):
         if sub.digraph.n < k + 1:
             report["skipped_small"] += 1
             continue
@@ -254,7 +238,7 @@ def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
     """Decide whether some spanning out-tree has at least k internal
     vertices, rooted at the given vertex or at any vertex.
 
-    Returns an InternalSearchResult; the witness, when requested and
+    Returns a SearchResult; the witness, when requested and
     found, is a spanning out-tree of the digraph with at least k
     internal vertices.
     """
@@ -265,8 +249,7 @@ def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
     roots = [root] if root is not None else sorted(digraph.vertices)
     reports = []
     for r in roots:
-        cache = {}
-        report, tree = _solve_one_root(digraph, k, r, budget, cache)
+        report, tree = _solve_one_root(digraph, k, r, budget)
         reports.append(report)
         if tree is None:
             continue
@@ -274,5 +257,5 @@ def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
         if witness:
             grown = expand_minimal_tree(digraph, r, tree)
             assert len(grown.internal_vertices()) >= k
-        return InternalSearchResult(True, k, r, grown, reports)
-    return InternalSearchResult(False, k, None, None, reports)
+        return SearchResult(True, k, r, grown, reports)
+    return SearchResult(False, k, None, None, reports)

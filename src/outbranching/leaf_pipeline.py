@@ -39,17 +39,17 @@ from .connectivity import (
 from .digraph import (
     Digraph,
     OutTree,
+    SearchResult,
     contract_arc_directed,
     underlying_graph,
     validate_out_tree,
 )
 from .errors import RootDisconnected
 from .treedp import dp_max_leaves
-from .treewidth import greedy_decomposition, make_nice, treewidth_upper_bound
+from .treewidth import greedy_decomposition, make_nice
 
 HIGH_INDEGREE_FACTOR = 6
 NICE_FACTOR = 24
-RESIDUAL_WIDTH_BOUND = 3
 WITNESS_WIDTH_LIMIT = 11
 
 
@@ -59,8 +59,7 @@ class StructureReport:
     __slots__ = ("root", "k", "outcome", "reason", "contractions", "reduced_n",
                  "reduced_m", "multi_cut_count", "single_cut_count",
                  "k_effective", "dup_n", "dup_m", "alpha", "beta",
-                 "boundary_size", "selected_size", "residual_width",
-                 "unreachable_count")
+                 "boundary_size", "selected_size", "unreachable_count")
 
     def __init__(self, root, k):
         self.root = root
@@ -79,7 +78,6 @@ class StructureReport:
         self.beta = None
         self.boundary_size = None
         self.selected_size = None
-        self.residual_width = None
         self.unreachable_count = None
 
     def as_dict(self):
@@ -295,11 +293,6 @@ def reduce_lob(digraph, root, k):
     report.selected_size = len(selected)
     assert len(selected) <= 2 * len(boundary)
 
-    residue = underlying_graph(reduced.without_vertices(selected))
-    report.residual_width = treewidth_upper_bound(residue)
-    assert report.residual_width <= RESIDUAL_WIDTH_BOUND, (
-        f"residue width {report.residual_width} exceeds the structural bound")
-
     report.outcome = "reduced"
     return Reduced(root, k, reduced, steps, selected, report)
 
@@ -361,23 +354,6 @@ def _dp_witness(outcome):
     return answer
 
 
-class LeafSearchResult:
-    """Outcome of the leaf-count search over one or more roots."""
-
-    __slots__ = ("satisfiable", "k", "root", "witness", "reports")
-
-    def __init__(self, satisfiable, k, root, witness, reports):
-        self.satisfiable = satisfiable
-        self.k = k
-        self.root = root
-        self.witness = witness
-        self.reports = reports
-
-    def __repr__(self):
-        return (f"LeafSearchResult(satisfiable={self.satisfiable}, k={self.k}, "
-                f"root={self.root})")
-
-
 def solve_lob(digraph, k, root=None, witness=True):
     """Decide whether some root admits a spanning branching with k leaves.
 
@@ -394,10 +370,10 @@ def solve_lob(digraph, k, root=None, witness=True):
     n = digraph.n
     reports = []
     if n == 0:
-        return LeafSearchResult(False, k, None, None, reports)
+        return SearchResult(False, k, None, None, reports)
     cap = 1 if n == 1 else n - 1
     if k > cap:
-        return LeafSearchResult(False, k, None, None, reports)
+        return SearchResult(False, k, None, None, reports)
 
     roots = [root] if root is not None else sorted(digraph.vertices)
     for r in roots:
@@ -423,7 +399,7 @@ def solve_lob(digraph, k, root=None, witness=True):
             if tree is not None:
                 validate_out_tree(digraph, tree, spanning=True)
                 assert len(tree.leaves()) >= k
-            return LeafSearchResult(True, k, r, tree, reports)
+            return SearchResult(True, k, r, tree, reports)
         answer = dp_max_leaves(outcome.digraph, r)
         assert answer is not None
         count, tree = answer
@@ -433,5 +409,5 @@ def solve_lob(digraph, k, root=None, witness=True):
                 final = expand_through_steps(tree, outcome.steps)
                 validate_out_tree(digraph, final, spanning=True)
                 assert len(final.leaves()) >= count >= k
-            return LeafSearchResult(True, k, r, final, reports)
-    return LeafSearchResult(False, k, None, None, reports)
+            return SearchResult(True, k, r, final, reports)
+    return SearchResult(False, k, None, None, reports)

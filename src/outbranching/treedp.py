@@ -414,7 +414,6 @@ def _execute(digraph, nice, engine):
     """Run an engine over the nice decomposition, splicing in edge steps."""
 
     ug = underlying_graph(digraph)
-    edges = sorted(ug.edges)
     assigned = set()
     covered = set()
     results = {}
@@ -436,6 +435,15 @@ def _execute(digraph, nice, engine):
             oldbag = tuple(sorted(node.children[0].bag))
             table, back = engine.introduce(child.table, oldbag, bag, node.vertex)
             step = _Step(("introduce", node.vertex), (child,), table, back)
+            # Leaves have empty bags, and a forget or join node's bag lies
+            # inside a child's, so the first node in post order whose bag
+            # holds both ends of an edge introduces one of them.
+            v = node.vertex
+            edges = {(min(v, x), max(v, x)) for x in ug.neighbors(v) & node.bag}
+            for e in sorted(edges - assigned):
+                assigned.add(e)
+                table, back = engine.edge(step.table, bag, e)
+                step = _Step(("edge", e), (step,), table, back)
         elif node.kind == FORGET:
             child = results.pop(id(node.children[0]))
             oldbag = tuple(sorted(node.children[0].bag))
@@ -448,15 +456,10 @@ def _execute(digraph, nice, engine):
             step = _Step(("join",), (left, right), table, back)
         else:
             raise DPInvariantError(f"unknown nice node kind {node.kind!r}")
-        for e in edges:
-            if e not in assigned and e[0] in node.bag and e[1] in node.bag:
-                assigned.add(e)
-                table, back = engine.edge(step.table, bag, e)
-                step = _Step(("edge", e), (step,), table, back)
         results[id(node)] = step
     if not covered >= digraph.vertices:
         raise DPInvariantError("decomposition does not cover the digraph")
-    if len(assigned) != len(edges):
+    if len(assigned) != ug.m:
         raise DPInvariantError("an underlying edge was never processed")
     return results[id(nice.root)]
 

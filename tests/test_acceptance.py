@@ -250,7 +250,7 @@ def test_criterion_6_layered_covering():
                     assert len(plan.parts) == ceil_sqrt(k) + 1
                     zcap = ceil_sqrt(4 * k)
                     hit = False
-                    for sub in generate_collection(d, k, 0):
+                    for sub in generate_collection(d, k, plan):
                         assert len(sub.kept) <= zcap
                         if len(sub.kept) == zcap:
                             bound_reached = True

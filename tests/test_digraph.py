@@ -104,7 +104,6 @@ def test_out_tree_counts():
     t = OutTree(0, {1: 0, 2: 0, 3: 1})
     assert t.leaves() == {2, 3}
     assert t.internal_vertices() == {0, 1}
-    assert t.subtree(1) == {1, 3}
 
 
 def test_out_tree_rejects_cycles_and_orphans():

@@ -14,7 +14,6 @@ from outbranching.internal_pipeline import (
     SingleInstance,
     build_partitions,
     ceil_sqrt,
-    collection_size,
     expand_minimal_tree,
     generate_collection,
     solve_iob,
@@ -64,7 +63,7 @@ def test_shallow_graph_is_single_instance():
     plan = build_partitions(underlying_graph(chain), 0, 4)
     assert isinstance(plan, SingleInstance)
     assert plan.depth == 2
-    subs = list(generate_collection(chain, 4, 0))
+    subs = list(generate_collection(chain, 4, plan))
     assert len(subs) == 1
     assert subs[0].digraph.vertices == chain.vertices
     assert subs[0].part_index is None
@@ -91,8 +90,8 @@ def test_collection_count_matches_closed_form():
                 continue
             for k in (2, 3, 5):
                 plan = build_partitions(underlying_graph(d), r, k)
-                want = collection_size(plan, k)
-                got = sum(1 for _ in generate_collection(d, k, r))
+                want = plan.size
+                got = sum(1 for _ in generate_collection(d, k, plan))
                 assert got == want
                 checked += 1
     assert checked >= 20
@@ -101,18 +100,19 @@ def test_collection_count_matches_closed_form():
 def test_subset_bound_and_root_membership():
     chain = bidirected_chain(9)
     zcap = ceil_sqrt(4 * 2)
-    for sub in generate_collection(chain, 2, 0):
+    plan = build_partitions(underlying_graph(chain), 0, 2)
+    for sub in generate_collection(chain, 2, plan):
         assert len(sub.kept) <= zcap
         assert 0 in sub.digraph.vertices
-        part = build_partitions(underlying_graph(chain), 0, 2).parts[
-            sub.part_index]
+        part = plan.parts[sub.part_index]
         assert sub.kept <= part
         assert sub.digraph.vertices == (chain.vertices - part) | sub.kept
 
 
 def test_budget_error_before_any_yield():
     chain = bidirected_chain(20)
-    gen = generate_collection(chain, 2, 0, budget=5)
+    plan = build_partitions(underlying_graph(chain), 0, 2)
+    gen = generate_collection(chain, 2, plan, budget=5)
     with pytest.raises(BudgetError):
         next(gen)
     with pytest.raises(BudgetError):
@@ -217,7 +217,7 @@ def test_covering_keeps_some_witness_tree():
             if not witnesses:
                 continue
             tree = witnesses[0]
-            hits = [s for s in generate_collection(d, k, r)
+            hits = [s for s in generate_collection(d, k, plan)
                     if tree.vertex_set <= s.digraph.vertices]
             assert hits, (d.arcs, r, sorted(tree.vertex_set))
             covered_checks += 1

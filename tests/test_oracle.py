@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from outbranching import (
@@ -12,7 +17,10 @@ from outbranching import (
     enum_out_trees,
     validate_out_tree,
 )
+from outbranching.generators import generate, grid_spec
 from helpers import grid_digraph, random_corpus
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_enum_single_path():
@@ -67,6 +75,23 @@ def test_enum_agrees_with_determinant_count():
             assert got == want, (d.arcs, r, got, want)
             checked += 1
     assert checked >= 150
+
+
+def test_determinant_count_is_exact_past_two_to_the_53():
+    # On a bidirected graph the arborescences at any root are the spanning
+    # trees of the underlying graph; the 7x7 grid has A007341(7) of them.
+    d = generate(grid_spec(7, p2=1.0))
+    assert count_arborescences(d, 0) == 19872369301840986112
+
+
+def test_package_imports_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = ("import sys, outbranching, outbranching.cli; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_enum_respects_limit():

@@ -1,17 +1,20 @@
-"""Property-based differential tests of the two out-branching solvers.
+"""Property-based differential tests of the three solvers.
 
 Random small digraphs, a drawn root (or none, which scans every root) and
 a drawn k; every answer must match the brute-force oracle and every "yes"
-must carry a spanning witness that meets k.
+must carry a witness that meets k: a spanning out-tree for the two
+out-branching solvers, a simple directed path for the k-path solver.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from outbranching import (
     Digraph,
+    brute_longest_path,
     brute_max_internal,
     brute_max_leaves,
     solve_iob,
+    solve_kpath_ballcover,
     solve_lob,
     validate_out_tree,
 )
@@ -65,3 +68,32 @@ def test_solve_iob_matches_oracle(case):
     res = solve_iob(d, k, root=root, witness=True)
     _check(d, root, k, res, brute_max_internal,
            lambda t: len(t.internal_vertices()))
+
+
+@st.composite
+def kpath_cases(draw):
+    """Any digraph on at most 7 vertices, k in 1..n and b in 1..n."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = set()
+    if pairs:
+        arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n)))
+    k = draw(st.integers(1, n))
+    b = draw(st.integers(1, n))
+    return Digraph.of(n, arcs), k, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kpath_cases())
+def test_solve_kpath_matches_oracle(case):
+    d, k, b = case
+    res = solve_kpath_ballcover(d, k, b)
+    longest, _ = brute_longest_path(d)
+    assert res.satisfiable == (longest >= k), (d.arcs, k, b)
+    if not res.satisfiable:
+        assert res.witness is None
+        return
+    path = res.witness
+    assert len(set(path)) == len(path), path
+    assert all(d.has_arc(u, v) for u, v in zip(path, path[1:])), path
+    assert len(path) - 1 >= k
