@@ -90,9 +90,17 @@ def bench(suite, budget=None):
 
     Each entry is a dict: {"spec": GeneratorSpec or kwargs dict,
     "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
-    "b": int (kpath only)}. Budget failures land in the row's error
-    column and the run keeps going.
+    "b": int (kpath only)}. An entry that lacks a key raises ValueError
+    before anything runs. Budget failures land in the row's error column
+    and the run keeps going.
     """
+    for index, entry in enumerate(suite):
+        if not isinstance(entry, dict):
+            raise ValueError(f"suite entry {index}: not an object")
+        kpath = entry.get("problem") == "kpath"
+        for key in ("spec", "problem", "k") + (("b",) if kpath else ()):
+            if key not in entry:
+                raise ValueError(f"suite entry {index}: missing {key!r}")
     rows = []
     for index, entry in enumerate(suite):
         spec = _spec_of(entry)

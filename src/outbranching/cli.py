@@ -43,8 +43,16 @@ def _tree_payload(tree):
     return {"root": tree.root, "arcs": sorted(tree.arcs())}
 
 
-def _emit(payload, fmt, out=None):
-    out = out or sys.stdout
+def _write(text, path="-"):
+    """Write text to the file at path, or to stdout for "-"."""
+    if path and path != "-":
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(payload, fmt, path="-"):
     if fmt == "csv":
         rows = payload if isinstance(payload, list) else [payload]
         if rows and set(rows[0]) == set(ANALYZE_FIELDS):
@@ -58,10 +66,9 @@ def _emit(payload, fmt, out=None):
                 if isinstance(value, (dict, list)) else value
                 for key, value in row.items()
             })
-        out.write(rows_to_csv(flat, fields))
+        _write(rows_to_csv(flat, fields), path)
     else:
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
-        out.write("\n")
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _cmd_solve_lob(args):
@@ -167,12 +174,7 @@ def _cmd_analyze(args):
 def _cmd_generate(args):
     spec = GeneratorSpec(args.family, rows=args.rows, cols=args.cols,
                          n=args.n, m=args.m, seed=args.seed, p2=args.p2)
-    text = serialize_instance(generate(spec), root=args.root)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(serialize_instance(generate(spec), root=args.root), args.output)
     return 0
 
 
@@ -195,14 +197,9 @@ def _cmd_bench(args):
         suite = _default_suite()
     rows = bench(suite, budget=args.budget)
     if args.format == "csv":
-        text = rows_to_csv(rows)
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(rows_to_csv(rows), args.output)
     else:
-        _emit(rows, "json")
+        _emit(rows, "json", args.output)
     return 0
 
 

@@ -3,8 +3,8 @@
 Three optimizations share the bag-state machinery: maximum-leaf spanning
 branchings, maximum-internal out-trees under a size cap, and longest
 directed paths.  Each underlying undirected edge of the host digraph is
-handled at exactly one decomposition node (the first node in post order
-whose bag contains both endpoints), so an arc can never be committed
+handled at exactly one op of the nice decomposition (the first op in its
+list whose bag contains both endpoints), so an arc can never be committed
 twice and an in-degree violation shows up as a dead state instead of a
 silent double count.
 
@@ -32,6 +32,8 @@ under ``python -O``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 
 from .digraph import OutTree, underlying_graph, validate_out_tree
@@ -40,18 +42,11 @@ from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, greedy_decomposition, make
 
 ABSENT = -1
 CLOSED = -2
+EDGE = "edge"
 
 
-class _Step:
-    """One executed table of the dynamic program, with backpointers."""
-
-    __slots__ = ("op", "prev", "table", "back")
-
-    def __init__(self, op, prev, table, back):
-        self.op = op
-        self.prev = prev
-        self.table = table
-        self.back = back
+# One executed table of the dynamic program, with backpointers.
+_Step = namedtuple("_Step", "kind prev table back")
 
 
 def _push(table, back, state, score, prov):
@@ -188,21 +183,24 @@ class _TreeEngine:
     fragment is complete, and the root fragment's label in between.  size
     counts solution vertices seen so far and is only constrained when
     size_cap is set.
+
+    spanning selects the problem: every vertex joins the solution and
+    forgotten leaves score (max leaves), or vertices other than the root
+    may stay outside and forgotten internal vertices score (max internal).
     """
 
-    def __init__(self, digraph, root, spanning, score_leaves, size_cap):
+    def __init__(self, digraph, root, spanning, size_cap):
         self.digraph = digraph
         self.root = root
         self.spanning = spanning
-        self.score_leaves = score_leaves
         self.size_cap = size_cap
 
     def leaf(self):
         state = ((), 0, 0, ABSENT, 0)
         return {state: 0}, {state: None}
 
-    def introduce(self, tin, oldbag, newbag, v):
-        p = newbag.index(v)
+    def introduce(self, tin, bag, v):
+        p = bag.index(v)
         low = (1 << p) - 1
         is_root = v == self.root
         outside = not self.spanning and not is_root
@@ -227,13 +225,13 @@ class _TreeEngine:
             _push(table, back, (nb, pb, cb, rstat, size + 1), score, s)
         return table, back
 
-    def forget(self, tin, oldbag, newbag, v):
-        p = oldbag.index(v)
+    def forget(self, tin, bag, v):
+        p = bisect_left(bag, v)
         low = (1 << p) - 1
         is_root = v == self.root
         # a forgotten solution vertex scores when it is a leaf (no child
         # arc) for max leaves, and when it is internal otherwise
-        flip = 1 if self.score_leaves else 0
+        flip = 1 if self.spanning else 0
         table, back = {}, {}
         for s, score in tin.items():
             blocks, pb, cb, rstat, size = s
@@ -278,7 +276,7 @@ class _TreeEngine:
                 _push(table, back, st, score, (s, arc))
         return table, back
 
-    def join(self, tl, tr, bag):
+    def join(self, tl, tr):
         table, back = {}, {}
         cap = self.size_cap
         for n_in, (lb, lr), litems, (rb, rr), ritems, merged in _group_pairs(
@@ -336,8 +334,8 @@ class _PathEngine:
         state = ((), 0, 0, 0)
         return {state: 0}, {state: None}
 
-    def introduce(self, tin, oldbag, newbag, v):
-        p = newbag.index(v)
+    def introduce(self, tin, bag, v):
+        p = bag.index(v)
         low = (1 << p) - 1
         table, back = {}, {}
         for s, score in tin.items():
@@ -350,8 +348,8 @@ class _PathEngine:
             _push(table, back, (_insert(blocks, p)[0], ib, ob, 0), score, s)
         return table, back
 
-    def forget(self, tin, oldbag, newbag, v):
-        p = oldbag.index(v)
+    def forget(self, tin, bag, v):
+        p = bisect_left(bag, v)
         low = (1 << p) - 1
         table, back = {}, {}
         for s, score in tin.items():
@@ -388,7 +386,7 @@ class _PathEngine:
                 _push(table, back, st, score + 1, (s, arc))
         return table, back
 
-    def join(self, tl, tr, bag):
+    def join(self, tl, tr):
         table, back = {}, {}
         for n_in, (lb, lclosed), litems, (rb, rclosed), ritems, merged in _group_pairs(
                 tl, tr, _path_split):
@@ -411,57 +409,50 @@ class _PathEngine:
 
 
 def _execute(digraph, nice, engine):
-    """Run an engine over the nice decomposition, splicing in edge steps."""
+    """Run an engine down the nice ops, splicing in edge steps.
+
+    ``nice`` defaults to the min-fill decomposition of the underlying
+    graph.  Finished steps wait on a stack: a join pops its left operand
+    and then its right one, introduce and forget pop one.  A forget's bag
+    lacks its vertex, which sat where it would sort into that bag.
+    """
 
     ug = underlying_graph(digraph)
+    if nice is None:
+        nice = make_nice(greedy_decomposition(ug))
     assigned = set()
     covered = set()
-    results = {}
-    stack = [(nice.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
-            continue
-        covered.update(node.bag)
-        bag = tuple(sorted(node.bag))
-        if node.kind == LEAF:
-            table, back = engine.leaf()
-            step = _Step(("leaf",), (), table, back)
-        elif node.kind == INTRODUCE:
-            child = results.pop(id(node.children[0]))
-            oldbag = tuple(sorted(node.children[0].bag))
-            table, back = engine.introduce(child.table, oldbag, bag, node.vertex)
-            step = _Step(("introduce", node.vertex), (child,), table, back)
-            # Leaves have empty bags, and a forget or join node's bag lies
-            # inside a child's, so the first node in post order whose bag
+    done = []
+    for kind, v, bag in nice.ops:
+        if kind == LEAF:
+            step = _Step(kind, (), *engine.leaf())
+        elif kind == INTRODUCE:
+            child = done.pop()
+            step = _Step(kind, (child,), *engine.introduce(child.table, bag, v))
+            covered.add(v)
+            # Leaves have empty bags, and a forget or join op's bag lies
+            # inside the bag of an op before it, so the first op whose bag
             # holds both ends of an edge introduces one of them.
-            v = node.vertex
-            edges = {(min(v, x), max(v, x)) for x in ug.neighbors(v) & node.bag}
-            for e in sorted(edges - assigned):
-                assigned.add(e)
-                table, back = engine.edge(step.table, bag, e)
-                step = _Step(("edge", e), (step,), table, back)
-        elif node.kind == FORGET:
-            child = results.pop(id(node.children[0]))
-            oldbag = tuple(sorted(node.children[0].bag))
-            table, back = engine.forget(child.table, oldbag, bag, node.vertex)
-            step = _Step(("forget", node.vertex), (child,), table, back)
-        elif node.kind == JOIN:
-            left = results.pop(id(node.children[0]))
-            right = results.pop(id(node.children[1]))
-            table, back = engine.join(left.table, right.table, bag)
-            step = _Step(("join",), (left, right), table, back)
+            nb = ug.neighbors(v)
+            for e in sorted((min(v, x), max(v, x)) for x in bag if x in nb):
+                if e not in assigned:
+                    assigned.add(e)
+                    step = _Step(EDGE, (step,), *engine.edge(step.table, bag, e))
+        elif kind == FORGET:
+            child = done.pop()
+            step = _Step(kind, (child,), *engine.forget(child.table, bag, v))
+        elif kind == JOIN:
+            left = done.pop()
+            right = done.pop()
+            step = _Step(kind, (left, right), *engine.join(left.table, right.table))
         else:
-            raise DPInvariantError(f"unknown nice node kind {node.kind!r}")
-        results[id(node)] = step
+            raise DPInvariantError(f"unknown nice op kind {kind!r}")
+        done.append(step)
     if not covered >= digraph.vertices:
         raise DPInvariantError("decomposition does not cover the digraph")
     if len(assigned) != ug.m:
         raise DPInvariantError("an underlying edge was never processed")
-    return results[id(nice.root)]
+    return done.pop()
 
 
 def _collect_arcs(final_step, final_state):
@@ -469,23 +460,15 @@ def _collect_arcs(final_step, final_state):
     stack = [(final_step, final_state)]
     while stack:
         step, state = stack.pop()
-        kind = step.op[0]
-        if kind == "leaf":
-            continue
-        if kind == "edge":
-            prov = step.back.get(state)
-            if prov is None:
-                # the state left the edge unused
-                stack.append((step.prev[0], state))
-            else:
-                prev_state, arc = prov
+        if step.kind == JOIN:
+            stack += zip(step.prev, step.back[state])
+        elif step.kind == EDGE:
+            # a state that left the edge unused has no backpointer
+            prev_state, arc = step.back.get(state, (state, None))
+            if arc is not None:
                 arcs.append(arc)
-                stack.append((step.prev[0], prev_state))
-        elif kind == "join":
-            sl, sr = step.back[state]
-            stack.append((step.prev[0], sl))
-            stack.append((step.prev[1], sr))
-        else:
+            stack.append((step.prev[0], prev_state))
+        elif step.kind != LEAF:
             stack.append((step.prev[0], step.back[state]))
     return arcs
 
@@ -504,12 +487,6 @@ def _witness_tree(digraph, root, arcs, spanning):
     return tree
 
 
-def _nice_for(digraph, nice):
-    if nice is not None:
-        return nice
-    return make_nice(greedy_decomposition(underlying_graph(digraph)))
-
-
 def _check_root(digraph, root):
     if root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
@@ -522,8 +499,7 @@ def dp_max_leaves(digraph, root, nice=None):
     """
 
     _check_root(digraph, root)
-    nice = _nice_for(digraph, nice)
-    engine = _TreeEngine(digraph, root, spanning=True, score_leaves=True, size_cap=None)
+    engine = _TreeEngine(digraph, root, spanning=True, size_cap=None)
     top = _execute(digraph, nice, engine)
     best = None
     for state, score in top.table.items():
@@ -548,9 +524,7 @@ def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None):
     _check_root(digraph, root)
     if size_cap is not None and size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    nice = _nice_for(digraph, nice)
-    engine = _TreeEngine(digraph, root, spanning=False, score_leaves=False,
-                         size_cap=size_cap)
+    engine = _TreeEngine(digraph, root, spanning=False, size_cap=size_cap)
     top = _execute(digraph, nice, engine)
     best = None
     for state, score in top.table.items():
@@ -576,7 +550,6 @@ def dp_longest_path(digraph, nice=None):
 
     if not digraph.vertices:
         return 0, []
-    nice = _nice_for(digraph, nice)
     engine = _PathEngine(digraph)
     top = _execute(digraph, nice, engine)
     best = None

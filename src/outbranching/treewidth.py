@@ -11,7 +11,8 @@ program over bitmasks and is only usable for small graphs; it exists so tests
 and analyses can certify optimal widths on instances where that is feasible.
 
 `make_nice` rewrites any decomposition into the rooted binary "nice" form
-(leaf / introduce / forget / join) that the dynamic programs consume.
+(leaf / introduce / forget / join) that the dynamic programs consume, as
+one list of ops in post order.
 """
 
 from __future__ import annotations
@@ -283,123 +284,88 @@ FORGET = "forget"
 JOIN = "join"
 
 
-class NiceNode:
-    """One step of a nice decomposition.
+class NiceDecomposition:
+    """A rooted binary nice decomposition, stored as its ops in post order.
 
-    leaf: empty bag, no children.  introduce/forget: one child, bag differs
-    from the child's by exactly `vertex`.  join: two children whose bags both
-    equal this node's bag.
+    Each op is (kind, vertex, bag), with bag a sorted tuple and vertex None
+    for leaf and join.  Replaying the ops on a stack of finished subtrees
+    rebuilds the tree: a leaf (empty bag) pushes one, an introduce or
+    forget of ``vertex`` replaces the top one by a subtree whose bag gains
+    or loses that vertex, and a join pops two subtrees with its own bag,
+    the nearer one first as its left operand, and pushes their union.  One
+    subtree is left at the end, and its bag is empty.
     """
 
-    __slots__ = ("kind", "bag", "vertex", "children")
+    __slots__ = ("ops", "width")
 
-    def __init__(self, kind, bag, vertex=None, children=()):
-        self.kind = kind
-        self.bag = frozenset(bag)
-        self.vertex = vertex
-        self.children = list(children)
-        if kind == LEAF:
-            assert not self.bag and not self.children
-        elif kind == INTRODUCE:
-            assert len(self.children) == 1
-            assert vertex in self.bag
-            assert self.children[0].bag == self.bag - {vertex}
-        elif kind == FORGET:
-            assert len(self.children) == 1
-            assert vertex not in self.bag
-            assert self.children[0].bag == self.bag | {vertex}
-        elif kind == JOIN:
-            assert len(self.children) == 2
-            assert all(c.bag == self.bag for c in self.children)
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-
-    def __repr__(self):
-        extra = f", v={self.vertex}" if self.vertex is not None else ""
-        return f"NiceNode({self.kind}, bag={sorted(self.bag)}{extra})"
-
-
-class NiceDecomposition:
-    """A rooted binary nice decomposition; the root bag is empty."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, root):
-        assert root.bag == frozenset()
-        self.root = root
-
-    def post_order(self):
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                yield node
-            else:
-                stack.append((node, True))
-                for child in reversed(node.children):
-                    stack.append((child, False))
-
-    @property
-    def width(self):
-        return max(len(node.bag) for node in self.post_order()) - 1
+    def __init__(self, ops):
+        self.ops = tuple(ops)
+        self.width = max(len(bag) for _, _, bag in self.ops) - 1
 
     @property
     def node_count(self):
-        return sum(1 for _ in self.post_order())
+        return len(self.ops)
 
     def as_decomposition(self):
-        bags = {}
         edges = []
-        ids = {}
-        for i, node in enumerate(self.post_order()):
-            ids[id(node)] = i
-            bags[i] = node.bag
-            for child in node.children:
-                edges.append((ids[id(child)], i))
-        return TreeDecomposition(bags, edges)
+        stack = []
+        for i, (kind, _, _) in enumerate(self.ops):
+            if kind == JOIN:
+                edges += [(stack.pop(), i), (stack.pop(), i)]
+            elif kind != LEAF:
+                edges.append((stack.pop(), i))
+            stack.append(i)
+        return TreeDecomposition({i: bag for i, (_, _, bag) in enumerate(self.ops)}, edges)
 
 
-def _introduce_chain(node, vertices):
+def _chain(ops, kind, bag, vertices):
+    """Append ops that introduce or forget `vertices` one at a time, lowest
+    first, starting from the sorted tuple `bag`.  Returns the last bag."""
+
     for v in sorted(vertices):
-        node = NiceNode(INTRODUCE, node.bag | {v}, vertex=v, children=[node])
-    return node
-
-
-def _forget_chain(node, vertices):
-    for v in sorted(vertices):
-        node = NiceNode(FORGET, node.bag - {v}, vertex=v, children=[node])
-    return node
+        if kind == INTRODUCE:
+            bag = tuple(sorted(bag + (v,)))
+        else:
+            bag = tuple(x for x in bag if x != v)
+        ops.append((kind, v, bag))
+    return bag
 
 
 def make_nice(td):
     """Rewrite a decomposition into nice form without increasing width.
 
-    The tree is rooted at the lowest node id.  Child bags are bridged to
-    their parent by forgetting the difference and then introducing the
-    parent's extra vertices, so every intermediate bag is a subset of one of
-    the two original bags.
+    The tree is rooted at the lowest node id.  A node without children
+    becomes a leaf and the introduces of its bag.  Otherwise each child's
+    subtree is bridged to the node's bag by forgetting the difference and
+    then introducing the node's extra vertices, so every intermediate bag
+    is a subset of one of the two original bags.  The ops come in post
+    order: the bridged child subtrees from the highest child id to the
+    lowest, then (children - 1) joins, each taking the subtree built last
+    as its left operand.  The root's bag is forgotten at the end.
     """
 
-    root_id = min(td.bags)
-
-    def build(node, parent):
+    root = min(td.bags)
+    ops = []
+    # a pending entry is a (node, parent) pair still to expand, or a list
+    # of ops to append once everything pushed after it has been appended
+    pending = [(root, None)]
+    while pending:
+        entry = pending.pop()
+        if isinstance(entry, list):
+            ops.extend(entry)
+            continue
+        node, parent = entry
         bag = td.bags[node]
         kids = [u for u in sorted(td.neighbors(node)) if u != parent]
         if not kids:
-            return _introduce_chain(NiceNode(LEAF, ()), bag)
-        branches = []
+            ops.append((LEAF, None, ()))
+            _chain(ops, INTRODUCE, (), bag)
+            continue
+        pending.append([(JOIN, None, tuple(sorted(bag)))] * (len(kids) - 1))
         for c in kids:
-            sub = build(c, node)
-            sub = _forget_chain(sub, td.bags[c] - bag)
-            sub = _introduce_chain(sub, bag - sub.bag)
-            branches.append(sub)
-        out = branches[0]
-        for other in branches[1:]:
-            out = NiceNode(JOIN, bag, children=[out, other])
-        return out
-
-    top = build(root_id, None)
-    top = _forget_chain(top, top.bag)
-    nice = NiceDecomposition(top)
-    assert nice.width <= td.width
-    return nice
+            bridge = []
+            kept = _chain(bridge, FORGET, tuple(sorted(td.bags[c])), td.bags[c] - bag)
+            _chain(bridge, INTRODUCE, kept, bag - td.bags[c])
+            pending += [bridge, (c, node)]
+    _chain(ops, FORGET, ops[-1][2], td.bags[root])
+    return NiceDecomposition(ops)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from outbranching import cli, treedp
+from outbranching import OutTree, cli, parse_instance, treedp, validate_out_tree
 
 
 def run(capsys, *argv):
@@ -195,6 +195,54 @@ def test_bench_default_and_suite(capsys, tmp_path):
     code, out, _ = run(capsys, "bench", "--suite", str(suite))
     assert code == 0
     assert len(out.strip().split("\n")) == 2
+
+
+def test_bench_json_goes_to_output_file(capsys, tmp_path):
+    target = tmp_path / "rows.json"
+    code, out, _ = run(capsys, "bench", "--format", "json",
+                       "--output", str(target))
+    assert code == 0
+    assert out == ""
+    rows = json.loads(target.read_text())
+    assert isinstance(rows, list) and len(rows) == 6
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"spec": {"family": "grid", "rows": 2, "cols": 2}, "problem": "lob",
+       "root": 0}], "suite entry 0: missing 'k'"),
+    ([{"problem": "lob", "k": 1, "root": 0}], "suite entry 0: missing 'spec'"),
+    ([{"spec": {"family": "grid", "rows": 2, "cols": 2}, "problem": "lob",
+       "k": 1, "root": 0},
+      {"spec": {"family": "grid", "rows": 2, "cols": 2}, "problem": "kpath",
+       "k": 1}], "suite entry 1: missing 'b'"),
+    ([5], "suite entry 0: not an object"),
+])
+def test_bench_suite_missing_key_exit_two(capsys, tmp_path, entries, message):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(entries))
+    code, out, err = run(capsys, "bench", "--suite", str(suite))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid: {message}\n"
+
+
+def test_solve_lob_on_a_long_grid(capsys, tmp_path):
+    # a 2 x 500 grid has width 2 but a decomposition tree hundreds of
+    # nodes deep, which must not hit the interpreter's recursion limit
+    target = tmp_path / "grid.txt"
+    code, _, _ = run(capsys, "generate", "--family", "grid", "--rows", "2",
+                     "--cols", "500", "--p2", "1.0", "--output", str(target))
+    assert code == 0
+    code, out, err = run(capsys, "solve-lob", "--input", str(target),
+                         "--k", "100", "--root", "0")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["answer"] is True
+    digraph, _ = parse_instance(target.read_text())
+    witness = payload["witness"]
+    tree = OutTree(witness["root"], {h: t for t, h in witness["arcs"]})
+    validate_out_tree(digraph, tree, spanning=True)
+    assert witness["root"] == 0 and len(tree.leaves()) >= 100
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -153,6 +153,20 @@ def test_longest_path_on_grid():
     assert got == want == 8
 
 
+def test_dps_on_a_path_deeper_than_the_recursion_limit():
+    # identity order on a path gives a decomposition tree as deep as the
+    # path is long; building and running its nice form must not recurse
+    n = 2 * sys.getrecursionlimit()
+    d = Digraph.of(n, [a for i in range(n - 1) for a in ((i, i + 1), (i + 1, i))])
+    nice = make_nice(decomposition_from_ordering(underlying_graph(d), list(range(n))))
+    length, path = dp_longest_path(d, nice)
+    assert length == n - 1 and sorted(path) == list(range(n))
+    assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
+    count, tree = dp_max_leaves(d, 0, nice)
+    assert count == 1
+    validate_out_tree(d, tree, spanning=True)
+
+
 def test_max_leaves_denser_corpus():
     for d in random_corpus(15, seed=137, n_lo=5, n_hi=7, density=3.0):
         for r in sorted(d.vertices):

@@ -113,41 +113,48 @@ def test_ordering_decomposition_respects_ordering_quality():
     assert td.width == 2
 
 
-def test_make_nice_shapes():
-    g = grid_graph(3, 3)
-    w, td = exact_treewidth_small(g)
-    nice = make_nice(td)
-    assert nice.root.bag == frozenset()
+def check_nice_shapes(g, td, nice):
+    """Replay the ops on a stack of subtree bags and check every shape."""
     assert nice.width <= td.width
     intro = set()
     forgotten = []
-    for node in nice.post_order():
-        if node.kind == LEAF:
-            assert node.bag == frozenset()
-        elif node.kind == INTRODUCE:
-            (child,) = node.children
-            assert node.bag == child.bag | {node.vertex}
-            assert node.vertex not in child.bag
-            intro.add(node.vertex)
-        elif node.kind == FORGET:
-            (child,) = node.children
-            assert node.bag == child.bag - {node.vertex}
-            forgotten.append(node.vertex)
+    stack = []
+    for kind, v, bag in nice.ops:
+        assert list(bag) == sorted(set(bag))
+        if kind == LEAF:
+            assert bag == () and v is None
+        elif kind == INTRODUCE:
+            child = stack.pop()
+            assert set(bag) == child | {v}
+            assert v not in child
+            intro.add(v)
+        elif kind == FORGET:
+            child = stack.pop()
+            assert set(bag) == child - {v}
+            assert v in child
+            forgotten.append(v)
         else:
-            assert node.kind == JOIN
-            a, b = node.children
-            assert a.bag == node.bag and b.bag == node.bag
+            assert kind == JOIN and v is None
+            a, b = stack.pop(), stack.pop()
+            assert a == set(bag) and b == set(bag)
+        stack.append(set(bag))
+    assert stack == [set()]
     assert intro == set(g.vertices)
+    assert sorted(forgotten) == sorted(g.vertices)
     validate_decomposition(g, nice.as_decomposition())
+
+
+def test_make_nice_shapes():
+    g = grid_graph(3, 3)
+    w, td = exact_treewidth_small(g)
+    check_nice_shapes(g, td, make_nice(td))
 
 
 def test_make_nice_on_random_corpus():
     for d in random_corpus(20, seed=13, n_lo=3, n_hi=8, density=1.8):
         g = underlying_graph(d)
         td = greedy_decomposition(g)
-        nice = make_nice(td)
-        assert nice.width <= td.width
-        validate_decomposition(g, nice.as_decomposition())
+        check_nice_shapes(g, td, make_nice(td))
 
 
 def test_make_nice_single_empty_bag():
@@ -155,7 +162,7 @@ def test_make_nice_single_empty_bag():
 
     td = TreeDecomposition({0: frozenset()}, [])
     nice = make_nice(td)
-    assert nice.root.kind == LEAF
+    assert nice.ops == ((LEAF, None, ()),)
     assert nice.width == -1
 
 
