@@ -78,11 +78,29 @@ BENCH_FIELDS = (
 )
 
 
-def _spec_of(entry):
+def _check_entry(entry):
+    """The entry's GeneratorSpec; raises ValueError for a bad entry."""
+    if not isinstance(entry, dict):
+        raise ValueError("not an object")
+    problem = entry.get("problem")
+    numbers = ("k", "b") if problem == "kpath" else ("k",)
+    for key in ("spec", "problem") + numbers:
+        if key not in entry:
+            raise ValueError(f"missing {key!r}")
+    if problem not in ("lob", "iob", "kpath"):
+        raise ValueError(f"unknown problem {problem!r}")
+    for key in numbers:
+        if isinstance(entry[key], bool) or not isinstance(entry[key], int):
+            raise ValueError(f"{key!r} must be an integer, got {entry[key]!r}")
     spec = entry["spec"]
     if isinstance(spec, GeneratorSpec):
         return spec
-    return GeneratorSpec(**spec)
+    if not isinstance(spec, dict):
+        raise ValueError("'spec' is not an object")
+    try:
+        return GeneratorSpec(**spec)
+    except TypeError as exc:
+        raise ValueError(f"bad 'spec': {exc}") from None
 
 
 def bench(suite, budget=None):
@@ -90,20 +108,20 @@ def bench(suite, budget=None):
 
     Each entry is a dict: {"spec": GeneratorSpec or kwargs dict,
     "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
-    "b": int (kpath only)}. An entry that lacks a key raises ValueError
-    before anything runs. Budget failures land in the row's error column
-    and the run keeps going.
+    "b": int (kpath only)}. An entry that lacks a key, names an unknown
+    problem, has a non-integer k or b, or a spec GeneratorSpec rejects
+    raises ValueError("suite entry <i>: ...") before anything runs.
+    Budget failures land in the row's error column and the run keeps
+    going.
     """
+    specs = []
     for index, entry in enumerate(suite):
-        if not isinstance(entry, dict):
-            raise ValueError(f"suite entry {index}: not an object")
-        kpath = entry.get("problem") == "kpath"
-        for key in ("spec", "problem", "k") + (("b",) if kpath else ()):
-            if key not in entry:
-                raise ValueError(f"suite entry {index}: missing {key!r}")
+        try:
+            specs.append(_check_entry(entry))
+        except ValueError as exc:
+            raise ValueError(f"suite entry {index}: {exc}") from None
     rows = []
-    for index, entry in enumerate(suite):
-        spec = _spec_of(entry)
+    for index, (entry, spec) in enumerate(zip(suite, specs)):
         digraph = generate(spec)
         problem = entry["problem"]
         k = entry["k"]
@@ -133,13 +151,11 @@ def bench(suite, budget=None):
                 if res.reports:
                     row["outcome"] = res.reports[-1]["outcome"]
                     row["collection_size"] = res.reports[-1]["collection_size"]
-            elif problem == "kpath":
+            else:
                 kwargs = {} if budget is None else {"budget": budget}
                 res = solve_kpath_ballcover(digraph, k, entry["b"], **kwargs)
                 row["answer"] = res.satisfiable
                 row["outcome"] = "hit" if res.satisfiable else "exhausted"
-            else:
-                raise ValueError(f"unknown problem {problem!r}")
         except BudgetError as exc:
             row["error"] = str(exc)
         row["time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)

@@ -19,7 +19,7 @@ import math
 from itertools import combinations
 
 from .digraph import bfs_layers, underlying_graph
-from .errors import BudgetError
+from .errors import BudgetError, DPInvariantError
 from .treedp import dp_longest_path
 
 DEFAULT_SUBSET_BUDGET = 200000
@@ -87,6 +87,7 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
         if arcs >= k:
             stats["hit_subset"] = centers
             for u, v in zip(path, path[1:]):
-                assert digraph.has_arc(u, v)
+                if not digraph.has_arc(u, v):
+                    raise DPInvariantError(f"path witness uses ({u}, {v}), not an arc")
             return PathSearchResult(True, k, b, list(path), stats)
     return PathSearchResult(False, k, b, None, stats)

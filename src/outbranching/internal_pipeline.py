@@ -26,7 +26,7 @@ from itertools import combinations
 from .digraph import (OutTree, SearchResult, bfs_layers, underlying_graph,
                       validate_out_tree)
 from .connectivity import reachable
-from .errors import BudgetError
+from .errors import BudgetError, DPInvariantError
 from .treedp import dp_max_internal_outtree
 
 DEFAULT_COLLECTION_BUDGET = 200000
@@ -256,6 +256,9 @@ def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
         grown = None
         if witness:
             grown = expand_minimal_tree(digraph, r, tree)
-            assert len(grown.internal_vertices()) >= k
+            if len(grown.internal_vertices()) < k:
+                raise DPInvariantError(
+                    f"witness has {len(grown.internal_vertices())} internal "
+                    f"vertices, fewer than {k}")
         return SearchResult(True, k, r, grown, reports)
     return SearchResult(False, k, None, None, reports)

@@ -44,7 +44,7 @@ from .digraph import (
     underlying_graph,
     validate_out_tree,
 )
-from .errors import RootDisconnected
+from .errors import DPInvariantError, RootDisconnected
 from .treedp import dp_max_leaves
 from .treewidth import greedy_decomposition, make_nice
 
@@ -354,6 +354,14 @@ def _dp_witness(outcome):
     return answer
 
 
+def _check_leaves(digraph, tree, need):
+    """Validate a witness spanning out-tree with at least `need` leaves."""
+    validate_out_tree(digraph, tree, spanning=True)
+    if len(tree.leaves()) < need:
+        raise DPInvariantError(
+            f"witness has {len(tree.leaves())} leaves, fewer than {need}")
+
+
 def solve_lob(digraph, k, root=None, witness=True):
     """Decide whether some root admits a spanning branching with k leaves.
 
@@ -394,11 +402,12 @@ def solve_lob(digraph, k, root=None, witness=True):
                 else:
                     count, solved = _dp_witness(outcome)
                     if count is not None:
-                        assert count >= k, "a guaranteed instance must solve to yes"
+                        if count < k:
+                            raise DPInvariantError(
+                                f"a guaranteed instance solved to {count} < {k} leaves")
                         tree = expand_through_steps(solved, outcome.steps)
             if tree is not None:
-                validate_out_tree(digraph, tree, spanning=True)
-                assert len(tree.leaves()) >= k
+                _check_leaves(digraph, tree, k)
             return SearchResult(True, k, r, tree, reports)
         answer = dp_max_leaves(outcome.digraph, r)
         assert answer is not None
@@ -407,7 +416,6 @@ def solve_lob(digraph, k, root=None, witness=True):
             final = None
             if witness:
                 final = expand_through_steps(tree, outcome.steps)
-                validate_out_tree(digraph, final, spanning=True)
-                assert len(final.leaves()) >= count >= k
+                _check_leaves(digraph, final, count)
             return SearchResult(True, k, r, final, reports)
     return SearchResult(False, k, None, None, reports)

@@ -6,9 +6,13 @@ one), so the empty bag gives width -1.
 
 Two construction routes are provided.  `greedy_decomposition` runs an
 elimination-ordering heuristic (min-fill) and is the workhorse for
-graphs of any size.  `exact_treewidth_small` runs a held-subset dynamic
-program over bitmasks and is only usable for small graphs; it exists so tests
-and analyses can certify optimal widths on instances where that is feasible.
+graphs of any size.  It keeps every vertex's fill count current as
+vertices go and fill edges come, instead of re-scoring all remaining
+vertices after each elimination, and picks the least count from a heap,
+ties still toward the lowest id.  `exact_treewidth_small` runs a
+held-subset dynamic program over bitmasks and is only usable for small
+graphs; it exists so tests and analyses can certify optimal widths on
+instances where that is feasible.
 
 `make_nice` rewrites any decomposition into the rooted binary "nice" form
 (leaf / introduce / forget / join) that the dynamic programs consume, as
@@ -16,6 +20,8 @@ one list of ops in post order.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .digraph import UndirectedGraph
 
@@ -112,24 +118,63 @@ def _eliminate(adj, v):
     return nb
 
 
+def _fill(adj, v):
+    """Number of non-adjacent pairs among v's neighbours."""
+
+    nb = adj[v]
+    d = len(nb)
+    return (d * (d - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
+
+
 def _greedy_order(graph):
+    """Min-fill elimination order, ties toward the lowest id.
+
+    `fill[v]` counts the non-adjacent pairs among v's neighbours and is
+    kept current through the two changes an elimination makes.  Removing
+    v from a neighbour a drops the pairs {v, z} that were missing, one per
+    z in N(a) outside N(v).  Adding a fill edge {a, b} closes that pair
+    for every common neighbour of a and b, and opens a pair between b and
+    each neighbour of a that b misses, and the other way round.  The heap
+    holds (fill, vertex) entries, pushed only when a count changes; an
+    entry is stale once its vertex is gone or its count has moved on, so
+    the smallest live entry is the lowest-id vertex of least fill.
+    """
+
     adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    fill = {v: _fill(adj, v) for v in adj}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
     order = []
-    while adj:
-        best_score = None
-        best_v = None
-        for v in sorted(adj):
-            nbl = sorted(adj[v])
-            score = 0
-            for i, a in enumerate(nbl):
-                for b in nbl[i + 1:]:
-                    if b not in adj[a]:
-                        score += 1
-            if best_score is None or score < best_score:
-                best_score = score
-                best_v = v
-        order.append(best_v)
-        _eliminate(adj, best_v)
+    while heap:
+        f, v = heapq.heappop(heap)
+        if fill.get(v) != f:
+            continue
+        order.append(v)
+        del fill[v]
+        nb = adj.pop(v)
+        before = {}
+        for a in nb:
+            na = adj[a]
+            na.discard(v)
+            before[a] = fill[a]
+            fill[a] -= len(na) - len(na & nb)
+        rest = set(nb)
+        for a in nb:
+            rest.discard(a)
+            na = adj[a]
+            for b in rest - na:
+                nbb = adj[b]
+                common = na & nbb
+                for w in common:
+                    before.setdefault(w, fill[w])
+                    fill[w] -= 1
+                fill[a] += len(na) - len(common)
+                fill[b] += len(nbb) - len(common)
+                na.add(b)
+                nbb.add(a)
+        for w, old in before.items():
+            if fill[w] != old:
+                heapq.heappush(heap, (fill[w], w))
     return order
 
 
@@ -138,10 +183,13 @@ def decomposition_from_ordering(graph, order):
 
     Bag i is the closed fill-in neighborhood of the i-th eliminated vertex;
     node i hangs below the node of the earliest-eliminated later member of
-    its bag, which keeps every vertex's occurrences connected.
+    its bag, which keeps every vertex's occurrences connected.  Raises
+    ValueError unless `order` lists each vertex exactly once.
     """
 
-    assert sorted(order) == sorted(graph.vertices)
+    if len(order) != len(graph.vertices) or set(order) != graph.vertices:
+        raise ValueError("an elimination order must list each vertex of the "
+                         "graph exactly once")
     if not order:
         return TreeDecomposition({0: frozenset()}, [])
     adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
@@ -153,7 +201,6 @@ def decomposition_from_ordering(graph, order):
         bags[i] = bag
         later = [pos[u] for u in bag if u != v]
         if later:
-            assert min(later) > i
             edges.append((i, min(later)))
         elif i + 1 < len(order):
             edges.append((i, i + 1))
@@ -164,8 +211,13 @@ def decomposition_from_ordering(graph, order):
 def greedy_decomposition(graph):
     """Min-fill decomposition via an elimination ordering.
 
-    Ties break toward the lowest vertex id, so the result is deterministic.
-    Works on disconnected graphs.
+    Each step eliminates a vertex of least fill (non-adjacent neighbour
+    pairs); ties break toward the lowest vertex id, so the result is
+    deterministic.  The counts are updated incrementally: eliminating v
+    costs one set intersection per neighbour of v and one per fill edge
+    it adds, each as long as the smaller neighbourhood of the two, plus a
+    heap push for every count that changes.  Works on disconnected
+    graphs.
     """
 
     return decomposition_from_ordering(graph, _greedy_order(graph))

@@ -121,3 +121,33 @@ def grid_graph(rows, cols):
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return UndirectedGraph.of(rows * cols, edges)
+
+
+def brute_min_fill_order(graph):
+    """Min-fill elimination order by a full re-scan after every step.
+
+    Every remaining vertex is scored by its missing neighbour pairs and the
+    first one of least fill in ascending id order is eliminated; the
+    reference the incremental order in `treewidth` must reproduce.
+    """
+    adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    order = []
+    while adj:
+        best_score = None
+        best_v = None
+        for v in sorted(adj):
+            nbl = sorted(adj[v])
+            score = 0
+            for i, a in enumerate(nbl):
+                for b in nbl[i + 1:]:
+                    if b not in adj[a]:
+                        score += 1
+            if best_score is None or score < best_score:
+                best_score = score
+                best_v = v
+        order.append(best_v)
+        nb = adj.pop(best_v)
+        for a in nb:
+            adj[a].discard(best_v)
+            adj[a].update(nb - {a})
+    return order

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -224,6 +225,36 @@ def test_bench_suite_missing_key_exit_two(capsys, tmp_path, entries, message):
     assert code == 2
     assert out == ""
     assert err == f"error: invalid: {message}\n"
+
+
+GRID = {"family": "grid", "rows": 2, "cols": 2}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"spec": {"family": "grid", "rows": 2, "colz": 2}, "problem": "lob",
+      "k": 1, "root": 0}, r"bad 'spec': .*'colz'"),
+    ({"spec": GRID, "problem": "lob", "k": "x", "root": 0},
+     r"'k' must be an integer, got 'x'"),
+    ({"spec": GRID, "problem": "kpath", "k": 2, "b": 1.5},
+     r"'b' must be an integer, got 1\.5"),
+    ({"spec": GRID, "problem": "lob", "k": True, "root": 0},
+     r"'k' must be an integer, got True"),
+    ({"spec": GRID, "problem": "tsp", "k": 1}, r"unknown problem 'tsp'"),
+    ({"spec": [2, 2], "problem": "lob", "k": 1}, r"'spec' is not an object"),
+    ({"spec": dict(GRID, rows=0), "problem": "lob", "k": 1},
+     r"grid needs rows >= 1 and cols >= 1, got 0x2"),
+])
+def test_bench_suite_bad_entry_exit_two(capsys, tmp_path, monkeypatch, entry, message):
+    def no_generate(spec):
+        raise AssertionError("an entry ran before the suite was checked")
+
+    monkeypatch.setattr("outbranching.analysis.generate", no_generate)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"spec": GRID, "problem": "iob", "k": 1}, entry]))
+    code, out, err = run(capsys, "bench", "--suite", str(suite))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(f"error: invalid: suite entry 1: {message}\n", err), err
 
 
 def test_solve_lob_on_a_long_grid(capsys, tmp_path):

@@ -1,0 +1,23 @@
+"""The solver property tests again, under python -O.
+
+-O strips every assert from the package, so a check that guards a
+returned answer only holds there if it raises a real exception.
+pytest still rewrites the asserts of the test module itself.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_solver_properties_pass_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join("tests", "test_solver_properties.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

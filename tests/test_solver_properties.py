@@ -4,15 +4,24 @@ Random small digraphs, a drawn root (or none, which scans every root) and
 a drawn k; every answer must match the brute-force oracle and every "yes"
 must carry a witness that meets k: a spanning out-tree for the two
 out-branching solvers, a simple directed path for the k-path solver.
+The checks that guard a returned "yes" raise DPInvariantError when a
+witness falls short; `tests/test_optimize.py` runs this file under
+python -O, where an assert in their place would vanish.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from outbranching import (
+    DPInvariantError,
     Digraph,
+    OutTree,
+    ballcover,
     brute_longest_path,
     brute_max_internal,
     brute_max_leaves,
+    internal_pipeline,
+    leaf_pipeline,
     solve_iob,
     solve_kpath_ballcover,
     solve_lob,
@@ -97,3 +106,42 @@ def test_solve_kpath_matches_oracle(case):
     assert len(set(path)) == len(path), path
     assert all(d.has_arc(u, v) for u, v in zip(path, path[1:])), path
     assert len(path) - 1 >= k
+
+
+K4 = Digraph.of(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+# a spanning path of K4: one leaf, three internal vertices
+K4_PATH = OutTree(0, {1: 0, 2: 1, 3: 2})
+
+
+def test_lob_yes_guards_raise(monkeypatch):
+    monkeypatch.setattr(leaf_pipeline, "expand_through_steps",
+                        lambda tree, steps: K4_PATH)
+    with pytest.raises(DPInvariantError, match="1 leaves, fewer than 3"):
+        solve_lob(K4, 3, root=0)
+
+    def guaranteed(digraph, root, k):
+        report = leaf_pipeline.StructureReport(root, k)
+        return leaf_pipeline.GuaranteedYes(root, k, "high_indegree_count",
+                                           digraph, [], frozenset(), report)
+
+    monkeypatch.setattr(leaf_pipeline, "reduce_lob", guaranteed)
+    monkeypatch.setattr(leaf_pipeline, "_dp_witness", lambda o: (o.k - 1, K4_PATH))
+    with pytest.raises(DPInvariantError, match="solved to 2 < 3"):
+        solve_lob(K4, 3, root=0)
+    monkeypatch.setattr(leaf_pipeline, "_dp_witness", lambda o: (o.k, K4_PATH))
+    with pytest.raises(DPInvariantError, match="1 leaves, fewer than 3"):
+        solve_lob(K4, 3, root=0)
+
+
+def test_iob_yes_guard_raises(monkeypatch):
+    star = OutTree(0, {1: 0, 2: 0, 3: 0})
+    monkeypatch.setattr(internal_pipeline, "expand_minimal_tree",
+                        lambda digraph, root, tree: star)
+    with pytest.raises(DPInvariantError, match="1 internal vertices, fewer than 2"):
+        solve_iob(K4, 2, root=0)
+
+
+def test_kpath_yes_guard_raises(monkeypatch):
+    monkeypatch.setattr(ballcover, "dp_longest_path", lambda d: (2, [0, 2, 1]))
+    with pytest.raises(DPInvariantError, match=r"\(0, 2\), not an arc"):
+        solve_kpath_ballcover(Digraph.of(3, [(0, 1), (1, 2)]), 2, 1)

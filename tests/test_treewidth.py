@@ -1,11 +1,15 @@
-import pytest
+import random
 
-from outbranching import UndirectedGraph, underlying_graph
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from outbranching import GeneratorSpec, UndirectedGraph, generate, underlying_graph
 from outbranching.treewidth import (
     FORGET,
     INTRODUCE,
     JOIN,
     LEAF,
+    _greedy_order,
     decomposition_from_ordering,
     exact_treewidth_small,
     greedy_decomposition,
@@ -13,7 +17,7 @@ from outbranching.treewidth import (
     treewidth_upper_bound,
     validate_decomposition,
 )
-from helpers import grid_graph, random_corpus
+from helpers import brute_min_fill_order, grid_graph, random_corpus
 
 
 def path_graph(n):
@@ -103,6 +107,68 @@ def test_upper_bound_mixes_exact_and_greedy():
     assert treewidth_upper_bound(g) == 2
     assert treewidth_upper_bound(UndirectedGraph.of(0, [])) == -1
     assert treewidth_upper_bound(path_graph(30)) == 1
+
+
+def decomposition_record(td):
+    return sorted((i, sorted(bag)) for i, bag in td.bags.items()), sorted(td.edges)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph on up to 16 distinct ids drawn from 0..999, so the ids are
+    rarely contiguous, with any number of the possible edges."""
+    ids = draw(st.lists(st.integers(0, 999), unique=True, max_size=16))
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return UndirectedGraph(ids, edges)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(labelled_graphs())
+@example(UndirectedGraph([], []))
+@example(UndirectedGraph([7, 3, 12], []))
+@example(UndirectedGraph([5, 9, 2, 40, 41], [(5, 9), (9, 2), (2, 5), (40, 41)]))
+def test_min_fill_order_matches_full_rescan(g):
+    order = brute_min_fill_order(g)
+    assert _greedy_order(g) == order
+    assert (decomposition_record(greedy_decomposition(g))
+            == decomposition_record(decomposition_from_ordering(g, order)))
+
+
+def contracted(g, rng, p):
+    """Merge each vertex into a random neighbour's group with probability
+    p; the groups keep their lowest id, so hubs appear and ids thin out."""
+    group = {v: v for v in g.vertices}
+
+    def find(v):
+        while group[v] != v:
+            v = group[v]
+        return v
+
+    for v in sorted(g.vertices):
+        if rng.random() < p:
+            a, b = find(v), find(rng.choice(sorted(g.neighbors(v))))
+            group[max(a, b)] = min(a, b)
+    edges = {(find(u), find(v)) for u, v in g.edges}
+    return UndirectedGraph({find(v) for v in g.vertices},
+                           [(u, v) for u, v in edges if u != v])
+
+
+def test_min_fill_decomposition_matches_full_rescan_on_grids():
+    grid = underlying_graph(generate(GeneratorSpec("grid", rows=18, cols=18, p2=0.7)))
+    graphs = [grid] + [contracted(grid, random.Random(seed), 0.3) for seed in range(3)]
+    for g in graphs:
+        td = greedy_decomposition(g)
+        validate_decomposition(g, td)
+        assert (decomposition_record(td)
+                == decomposition_record(decomposition_from_ordering(g, brute_min_fill_order(g))))
+    assert max(len(g.neighbors(v)) for g in graphs[1:] for v in g.vertices) > 8
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]])
+def test_ordering_must_list_each_vertex_once(order):
+    with pytest.raises(ValueError, match="exactly once"):
+        decomposition_from_ordering(path_graph(3), order)
 
 
 def test_ordering_decomposition_respects_ordering_quality():
