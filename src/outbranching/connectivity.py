@@ -15,9 +15,22 @@ the digraph is rooted 2-connected when every idom is r. Deleting the arc
 (x, y) strands something only if it strands y, i.e. when idom(y) == x and
 y dominates each of its other reachable in-neighbors; it then strands
 exactly y's dominator subtree.
-"""
 
-from functools import reduce
+Contracting such an arc keeps the tree: the dominator tree of G/(x, y),
+with the merged vertex named x, is G's tree with y dropped and y's
+children hung below x. Every path to y passes x, so a simple path that
+ends at x never meets y. A path of G/(x, y) from r enters the merged
+vertex through an arc that G has into x or into y. An arc (p, y) with
+p != x is no help: y dominates p, so every path to p passes y and hence
+x, and the path would reach the merged vertex before p. So every path
+of G/(x, y) lifts to a path of G that runs through x, then y if it left
+through an arc of y; conversely a path of G shrinks to a walk of
+G/(x, y) on its image. Hence a vertex d outside {x, y} dominates w in
+G/(x, y) exactly when it does in G, and the merged vertex dominates w
+exactly when x or y does in G, which is when x does, since x dominates
+y. The reached vertices are those of G minus y, and the nearest
+dominator of each is as before, with y replaced by its own idom x.
+"""
 
 # In-degree at which a vertex counts as "high" in the leaf-count bounds.
 HIGH_INDEGREE = 3
@@ -43,38 +56,66 @@ def _idoms(digraph, root, spanning=False):
     """{v: immediate dominator of v} over the vertices the root reaches,
     with the root mapped to itself. Cooper, Harvey and Kennedy, "A Simple,
     Fast Dominance Algorithm" (2001): a fixpoint over reverse postorder.
-    With ``spanning``, raise ValueError unless the root reaches everything."""
-    post, seen = {}, set()
-    stack = [(root, False)] if root in digraph.vertices else []
-    while stack:
-        v, done = stack.pop()
-        if done:
-            post[v] = len(post)
-        elif v not in seen:
-            seen.add(v)
-            stack.append((v, True))
-            stack.extend((w, False) for w in digraph.out_neighbors(v) - seen)
-    miss = digraph.vertices - seen
-    if spanning and miss:
-        raise ValueError(f"vertices unreachable from root {root}: {sorted(miss)}")
-
-    def meet(a, b):  # nearest common dominator, climbing by postorder
-        while a != b:
-            while post[a] < post[b]:
-                a = idom[a]
-            while post[b] < post[a]:
-                b = idom[b]
-        return a
-
-    idom = {root: root} if post else {}
+    Vertices are numbered by DFS postorder, so the fixpoint runs on int
+    lists: each vertex's reached in-neighbors and one idom array, in
+    which every dominator has a higher number than the vertices it
+    dominates. With ``spanning``, raise ValueError unless the root
+    reaches everything."""
+    post, num = [], {}  # num doubles as the seen set until v is finished
+    if root in digraph.vertices:
+        stack = [(root, iter(digraph.out_neighbors(root)))]
+        num[root] = None
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if w not in num:
+                    num[w] = None
+                    stack.append((w, iter(digraph.out_neighbors(w))))
+                    break
+            else:
+                stack.pop()
+                num[v] = len(post)
+                post.append(v)
+    if spanning and len(num) < digraph.n:
+        miss = sorted(digraph.vertices - num.keys())
+        raise ValueError(f"vertices unreachable from root {root}: {miss}")
+    preds = [[num[p] for p in digraph.in_neighbors(v) if p in num]
+             for v in post]
+    top = len(post) - 1
+    idom = [None] * len(post)
+    if post:
+        idom[top] = top
     changed = True
     while changed:
         changed = False
-        for v in list(reversed(post))[1:]:  # reverse postorder, root dropped
-            new = reduce(meet, [p for p in digraph.in_neighbors(v) if p in idom])
-            changed |= idom.get(v) != new
-            idom[v] = new
-    return idom
+        for v in range(top - 1, -1, -1):  # reverse postorder, root dropped
+            new = None
+            for p in preds[v]:
+                if idom[p] is None:
+                    continue
+                if new is None:
+                    new = p
+                    continue
+                while p != new:  # nearest common dominator
+                    while p < new:
+                        p = idom[p]
+                    while new < p:
+                        new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    return {post[v]: post[idom[v]] for v in range(top, -1, -1)}
+
+
+def _contract_tree(idom, arc):
+    """Update the dominator tree ``idom`` in place for contracting an arc
+    (x, y) that strands >= 2 vertices: drop y and hang its children below
+    x, as the lemma in the module docstring shows."""
+    x, y = arc
+    del idom[y]
+    for v, d in idom.items():
+        if d == y:
+            idom[v] = x
 
 
 def is_rooted_2connected(digraph, root):
@@ -110,8 +151,14 @@ class CutProfile:
 
 def cut_profile(digraph, root):
     """Classify cut vertices by how many of their out-neighbors they strand."""
+    return _cut_profile(digraph, root, _idoms(digraph, root, spanning=True))
+
+
+def _cut_profile(digraph, root, idom):
+    """cut_profile on the dominator tree ``idom`` of a digraph the root
+    spans."""
     stranded = {}
-    for y, x in _idoms(digraph, root, spanning=True).items():
+    for y, x in idom.items():
         if x != root and digraph.has_arc(x, y):
             stranded[x] = stranded.get(x, frozenset()) | {y}
     multi = frozenset(x for x, ys in stranded.items() if len(ys) >= 2)
@@ -135,7 +182,11 @@ def high_indegree_vertices(digraph):
 def arcs_disconnecting_two(digraph, root):
     """Arcs whose single removal makes >= 2 currently-reachable vertices
     unreachable from the root."""
-    idom = _idoms(digraph, root)
+    return _stranding_arcs(digraph, root, _idoms(digraph, root))
+
+
+def _stranding_arcs(digraph, root, idom):
+    """arcs_disconnecting_two on the dominator tree ``idom``."""
 
     def dominates(y, p):
         while p != y and p != idom[p]:

@@ -15,10 +15,13 @@ Representation decisions that the rest of the package relies on:
   not remember which vertices were merged; callers that need to map a
   witness back record the (graph_before, arc) steps and replay them.
 * All types are immutable after construction; derived graphs are new
-  objects.
+  objects. A contracted graph shares with its input every neighbor set
+  the contraction leaves alone, which is safe because none is mutated.
 """
 
 from __future__ import annotations
+
+from .errors import DPInvariantError
 
 
 class ParseError(ValueError):
@@ -45,6 +48,16 @@ class Digraph:
             pred[v].add(u)
         self._succ = {v: frozenset(s) for v, s in succ.items()}
         self._pred = {v: frozenset(s) for v, s in pred.items()}
+
+    @classmethod
+    def _from_parts(cls, vertices, arcs, succ, pred):
+        """A graph from parts already known to agree: the vertex and arc
+        frozensets and the {v: frozenset} successor and predecessor maps.
+        Nothing is checked or copied."""
+        graph = cls.__new__(cls)
+        graph.vertices, graph.arcs = vertices, arcs
+        graph._succ, graph._pred = succ, pred
+        return graph
 
     @classmethod
     def of(cls, n, arcs):
@@ -184,17 +197,31 @@ def contract_arc_directed(digraph, arc):
     cut vertex with its lone dependent; the merged vertex keeps the
     tail's id, so a root at the tail survives by name. Loops created by
     arcs between u and v disappear; duplicate arcs collapse because arcs
-    form a set."""
+    form a set.
+
+    The result shares the input's neighbor sets except those of u, v and
+    v's neighbors, so the work beyond copying the two neighbor maps and
+    the arc set is O(deg u + deg v). The input is left unchanged."""
     u, v = arc
     if arc not in digraph.arcs:
         raise ValueError(f"cannot contract missing arc ({u}, {v})")
-    arcs = set()
-    for a, b in digraph.arcs:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            arcs.add((a2, b2))
-    return Digraph(digraph.vertices - {v}, arcs)
+    succ, pred = dict(digraph._succ), dict(digraph._pred)
+    out_v, in_v = succ.pop(v), pred.pop(v)
+    gone, new = set(), set()
+    for w in out_v:
+        gone.add((v, w))
+        if w != u:
+            new.add((u, w))
+            pred[w] = pred[w] - {v} | {u}
+    for w in in_v:
+        gone.add((w, v))
+        if w != u:
+            new.add((w, u))
+            succ[w] = succ[w] - {v} | {u}
+    succ[u] = (succ[u] | out_v) - {u, v}
+    pred[u] = (pred[u] | in_v) - {u, v}
+    return Digraph._from_parts(digraph.vertices - {v},
+                               (digraph.arcs - gone) | new, succ, pred)
 
 
 # An alias, not a second contraction: the name stays public because
@@ -232,27 +259,24 @@ def bfs_layers(graph, root):
 class OutTree:
     """A rooted tree whose arcs point away from the root.
 
-    Stored as a parent map {child: parent}. The root has no entry. A
-    single-vertex tree is the root alone, and that root counts as a leaf
-    (out-degree zero).
+    Stored as a parent map {child: parent} and nothing else: the root has
+    no entry, and the vertex set, children, leaves and internal vertices
+    are read off the map when asked for. A single-vertex tree is the root
+    alone, and that root counts as a leaf (out-degree zero).
     """
 
-    __slots__ = ("root", "parents", "_children")
+    __slots__ = ("root", "parents")
 
     def __init__(self, root, parents):
         self.root = root
         self.parents = dict(parents)
         if root in self.parents:
             raise ValueError("root cannot have a parent")
-        children = {root: set()}
         for c, p in self.parents.items():
             if c == p:
                 raise ValueError(f"vertex {c} is its own parent")
-            children.setdefault(p, set())
-            children.setdefault(c, set())
-            children[p].add(c)
         # every vertex must reach the root through parents, which also
-        # rules out cycles
+        # rules out cycles and puts every parent in the tree
         for c in self.parents:
             seen = {c}
             x = c
@@ -261,29 +285,28 @@ class OutTree:
                 if x is None or x in seen:
                     raise ValueError(f"vertex {c} does not reach the root")
                 seen.add(x)
-        # tuples, not sets: solvers keep many witnesses, and most vertices
-        # of a tree are leaves, which share the one empty tuple
-        self._children = {v: tuple(s) for v, s in children.items()}
 
     @property
     def vertex_set(self):
-        return frozenset(self._children)
+        return frozenset(self.parents).union((self.root,))
 
     @property
     def size(self):
-        return len(self._children)
+        return len(self.parents) + 1
 
     def children(self, v):
-        return frozenset(self._children[v])
+        if v != self.root and v not in self.parents:
+            raise KeyError(v)
+        return frozenset(c for c, p in self.parents.items() if p == v)
 
     def arcs(self):
         return frozenset((p, c) for c, p in self.parents.items())
 
     def leaves(self):
-        return frozenset(v for v, cs in self._children.items() if not cs)
+        return self.vertex_set.difference(self.parents.values())
 
     def internal_vertices(self):
-        return frozenset(v for v, cs in self._children.items() if cs)
+        return frozenset(self.parents.values())
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
@@ -322,6 +345,18 @@ def validate_out_tree(digraph, tree, spanning=False):
     if spanning and tree.vertex_set != digraph.vertices:
         missing = digraph.vertices - tree.vertex_set
         raise ValueError(f"tree does not span, missing {sorted(missing)}")
+
+
+def witness_tree(digraph, root, parents, spanning=True):
+    """OutTree(root, parents), validated against the digraph, for a tree a
+    solver built itself: a failure there is the solver's own fault, so it
+    raises DPInvariantError, not the ValueError of bad input."""
+    try:
+        tree = OutTree(root, parents)
+        validate_out_tree(digraph, tree, spanning=spanning)
+    except ValueError as exc:
+        raise DPInvariantError(f"invalid witness tree: {exc}") from exc
+    return tree
 
 
 def parse_instance(text):

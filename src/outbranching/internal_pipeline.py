@@ -23,8 +23,8 @@ on each residual digraph.
 import math
 from itertools import combinations
 
-from .digraph import (OutTree, SearchResult, bfs_layers, underlying_graph,
-                      validate_out_tree)
+from .digraph import (SearchResult, bfs_layers, underlying_graph,
+                      validate_out_tree, witness_tree)
 from .connectivity import reachable
 from .errors import BudgetError, DPInvariantError
 from .treedp import dp_max_internal_outtree
@@ -180,8 +180,7 @@ def expand_minimal_tree(digraph, root, tree):
                     nxt.append(w)
         queue = nxt
     assert covered == digraph.vertices
-    grown = OutTree(root, parents)
-    validate_out_tree(digraph, grown, spanning=True)
+    grown = witness_tree(digraph, root, parents)
     assert tree.arcs() <= grown.arcs()
     assert len(grown.internal_vertices()) >= before
     return grown

@@ -29,8 +29,10 @@ a verifiable witness expanded back to the input digraph.
 from __future__ import annotations
 
 from .connectivity import (
-    arcs_disconnecting_two,
-    cut_profile,
+    _contract_tree,
+    _cut_profile,
+    _idoms,
+    _stranding_arcs,
     high_indegree_vertices,
     is_rooted_2connected,
     nice_vertices,
@@ -42,7 +44,7 @@ from .digraph import (
     SearchResult,
     contract_arc_directed,
     underlying_graph,
-    validate_out_tree,
+    witness_tree,
 )
 from .errors import DPInvariantError, RootDisconnected
 from .treedp import dp_max_leaves
@@ -124,16 +126,27 @@ def exhaust_stranding_contractions(digraph, root):
     contraction preserves the maximum leaf count exactly.
     """
 
+    reduced, steps, _ = _contract_stranding_arcs(digraph, root)
+    return reduced, steps
+
+
+def _contract_stranding_arcs(digraph, root):
+    """exhaust_stranding_contractions, also returning the dominator tree
+    of the reduced digraph: one tree is computed and kept current through
+    each contraction rather than recomputed."""
+
+    idom = _idoms(digraph, root)
     steps = []
     current = digraph
     while True:
-        arcs = arcs_disconnecting_two(current, root)
+        arcs = _stranding_arcs(current, root, idom)
         if not arcs:
-            return current, steps
+            return current, steps, idom
         arc = min(arcs)
         assert arc[1] != root, "arcs into the root never disconnect anything"
         steps.append((current, arc))
         current = contract_arc_directed(current, arc)
+        _contract_tree(idom, arc)
 
 
 def bfs_branching(digraph, root):
@@ -165,18 +178,15 @@ def force_cut_arcs(digraph, root, tree, forced):
     swap loses a leaf: x strands something, hence is internal already.
     """
 
-    heads = [y for _, y in forced]
-    assert len(heads) == len(set(heads)), "forced arcs must have unique heads"
     parents = dict(tree.parents)
     before = len(tree.leaves())
     for x, y in sorted(forced):
-        assert digraph.has_arc(x, y)
-        if parents.get(y) != x:
-            parents[y] = x
-    out = OutTree(root, parents)
-    validate_out_tree(digraph, out, spanning=True)
-    assert forced <= out.arcs()
-    assert len(out.leaves()) >= before, "forcing must not lose leaves"
+        parents[y] = x
+    out = witness_tree(digraph, root, parents)
+    if not forced <= out.arcs():
+        raise DPInvariantError("forced arcs share a head")
+    if len(out.leaves()) < before:
+        raise DPInvariantError("forcing the cut arcs lost leaves")
     return out
 
 
@@ -234,12 +244,13 @@ def reduce_lob(digraph, root, k):
         raise RootDisconnected(root, missing)
     report = StructureReport(root, k)
 
-    reduced, steps = exhaust_stranding_contractions(digraph, root)
+    # the root reaches everything, so the tree of the reduced graph spans
+    reduced, steps, idom = _contract_stranding_arcs(digraph, root)
     report.contractions = len(steps)
     report.reduced_n = reduced.n
     report.reduced_m = reduced.m
 
-    profile = cut_profile(reduced, root)
+    profile = _cut_profile(reduced, root, idom)
     report.multi_cut_count = len(profile.multi_cut)
     report.single_cut_count = len(profile.single_cut)
 
@@ -307,21 +318,17 @@ def expand_arc_contraction(tree, graph_before, arc):
     """
 
     x, y = arc
+    vertices = tree.vertex_set
+    if y in vertices or x not in vertices:
+        raise DPInvariantError(f"step ({x}, {y}) does not match the tree")
     parents = dict(tree.parents)
-    assert y not in tree.vertex_set
-    assert x in tree.vertex_set
     for z in tree.children(x):
         if graph_before.has_arc(y, z):
             parents[z] = y
-        else:
-            assert graph_before.has_arc(x, z)
     parents[y] = x
-    u = tree.parents.get(x)
-    if u is not None:
-        assert graph_before.has_arc(u, x)
-    out = OutTree(tree.root, parents)
-    validate_out_tree(graph_before, out, spanning=True)
-    assert len(out.leaves()) >= len(tree.leaves())
+    out = witness_tree(graph_before, tree.root, parents)
+    if len(out.leaves()) < len(tree.leaves()):
+        raise DPInvariantError(f"undoing step ({x}, {y}) lost leaves")
     return out
 
 
@@ -337,7 +344,10 @@ def _forced_arc_witness(outcome):
     tree = bfs_branching(outcome.digraph, outcome.root)
     tree = force_cut_arcs(outcome.digraph, outcome.root, tree, outcome.forced_arcs)
     multi = {x for x, _ in outcome.forced_arcs}
-    assert len(tree.leaves()) >= len(multi) + 1
+    if len(tree.leaves()) < len(multi) + 1:
+        raise DPInvariantError(
+            f"forced witness has {len(tree.leaves())} leaves for "
+            f"{len(multi)} multi-cut vertices")
     return expand_through_steps(tree, outcome.steps)
 
 
@@ -356,7 +366,7 @@ def _dp_witness(outcome):
 
 def _check_leaves(digraph, tree, need):
     """Validate a witness spanning out-tree with at least `need` leaves."""
-    validate_out_tree(digraph, tree, spanning=True)
+    witness_tree(digraph, tree.root, tree.parents)
     if len(tree.leaves()) < need:
         raise DPInvariantError(
             f"witness has {len(tree.leaves())} leaves, fewer than {need}")

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
-from .digraph import OutTree, underlying_graph, validate_out_tree
+from .digraph import underlying_graph, witness_tree
 from .errors import DPInvariantError
 from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, greedy_decomposition, make_nice
 
@@ -479,12 +479,7 @@ def _witness_tree(digraph, root, arcs, spanning):
     parents = {h: t for t, h in arcs}
     if len(parents) != len(arcs):
         raise DPInvariantError("a vertex got two parents")
-    try:
-        tree = OutTree(root, parents)
-        validate_out_tree(digraph, tree, spanning=spanning)
-    except ValueError as exc:
-        raise DPInvariantError(f"invalid witness tree: {exc}") from exc
-    return tree
+    return witness_tree(digraph, root, parents, spanning)
 
 
 def _check_root(digraph, root):

@@ -9,9 +9,10 @@ elimination-ordering heuristic (min-fill) and is the workhorse for
 graphs of any size.  It keeps every vertex's fill count current as
 vertices go and fill edges come, instead of re-scoring all remaining
 vertices after each elimination, and picks the least count from a heap,
-ties still toward the lowest id.  `exact_treewidth_small` runs a
-held-subset dynamic program over bitmasks and is only usable for small
-graphs; it exists so tests and analyses can certify optimal widths on
+ties still toward the lowest id; the bags are the neighbourhoods that
+pass records, so the graph is eliminated once.  `exact_treewidth_small`
+runs a held-subset dynamic program over bitmasks and is only usable for
+small graphs; it exists so tests and analyses can certify optimal widths on
 instances where that is feasible.
 
 `make_nice` rewrites any decomposition into the rooted binary "nice" form
@@ -127,7 +128,8 @@ def _fill(adj, v):
 
 
 def _greedy_order(graph):
-    """Min-fill elimination order, ties toward the lowest id.
+    """Min-fill elimination order, ties toward the lowest id, and the
+    neighbourhood each vertex had when it was eliminated, as two lists.
 
     `fill[v]` counts the non-adjacent pairs among v's neighbours and is
     kept current through the two changes an elimination makes.  Removing
@@ -144,7 +146,7 @@ def _greedy_order(graph):
     fill = {v: _fill(adj, v) for v in adj}
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
-    order = []
+    order, neighbourhoods = [], []
     while heap:
         f, v = heapq.heappop(heap)
         if fill.get(v) != f:
@@ -152,6 +154,7 @@ def _greedy_order(graph):
         order.append(v)
         del fill[v]
         nb = adj.pop(v)
+        neighbourhoods.append(nb)
         before = {}
         for a in nb:
             na = adj[a]
@@ -175,37 +178,40 @@ def _greedy_order(graph):
         for w, old in before.items():
             if fill[w] != old:
                 heapq.heappush(heap, (fill[w], w))
-    return order
+    return order, neighbourhoods
+
+
+def _decomposition(order, neighbourhoods):
+    """The decomposition of an elimination: bag i is the i-th eliminated
+    vertex with its neighbourhood at that time, and node i hangs below the
+    node of the earliest-eliminated later member of its bag (the next node
+    if it has none), which keeps every vertex's occurrences connected."""
+
+    if not order:
+        return TreeDecomposition({0: frozenset()}, [])
+    pos = {v: i for i, v in enumerate(order)}
+    bags = {}
+    edges = []
+    for i, (v, nb) in enumerate(zip(order, neighbourhoods)):
+        bags[i] = nb | {v}
+        if nb:
+            edges.append((i, min(pos[u] for u in nb)))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+    return TreeDecomposition(bags, edges)
 
 
 def decomposition_from_ordering(graph, order):
-    """Build the decomposition induced by an elimination ordering.
-
-    Bag i is the closed fill-in neighborhood of the i-th eliminated vertex;
-    node i hangs below the node of the earliest-eliminated later member of
-    its bag, which keeps every vertex's occurrences connected.  Raises
-    ValueError unless `order` lists each vertex exactly once.
+    """Build the decomposition induced by an elimination ordering, as
+    `_decomposition` lays it out from the neighbourhoods the order meets.
+    Raises ValueError unless `order` lists each vertex exactly once.
     """
 
     if len(order) != len(graph.vertices) or set(order) != graph.vertices:
         raise ValueError("an elimination order must list each vertex of the "
                          "graph exactly once")
-    if not order:
-        return TreeDecomposition({0: frozenset()}, [])
     adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
-    bags = {}
-    pos = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, v in enumerate(order):
-        bag = frozenset(adj[v] | {v})
-        bags[i] = bag
-        later = [pos[u] for u in bag if u != v]
-        if later:
-            edges.append((i, min(later)))
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))
-        _eliminate(adj, v)
-    return TreeDecomposition(bags, edges)
+    return _decomposition(order, [_eliminate(adj, v) for v in order])
 
 
 def greedy_decomposition(graph):
@@ -216,11 +222,12 @@ def greedy_decomposition(graph):
     deterministic.  The counts are updated incrementally: eliminating v
     costs one set intersection per neighbour of v and one per fill edge
     it adds, each as long as the smaller neighbourhood of the two, plus a
-    heap push for every count that changes.  Works on disconnected
-    graphs.
+    heap push for every count that changes.  The bags come from the
+    neighbourhoods recorded as the vertices go, so the graph is
+    eliminated once.  Works on disconnected graphs.
     """
 
-    return decomposition_from_ordering(graph, _greedy_order(graph))
+    return _decomposition(*_greedy_order(graph))
 
 
 def _component_masks(graph, comp):

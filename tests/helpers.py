@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from outbranching import Digraph, reachable
 
 
@@ -17,6 +19,33 @@ def random_digraph(rng, n_lo=4, n_hi=7, density=2.0):
 def random_corpus(count, seed, n_lo=4, n_hi=7, density=2.0):
     rng = random.Random(seed)
     return [random_digraph(rng, n_lo, n_hi, density) for _ in range(count)]
+
+
+@st.composite
+def labelled_digraphs(draw, max_n=9):
+    """A digraph on 1..max_n distinct ids drawn from 0..99, so the ids are
+    rarely contiguous, with up to three arcs per vertex."""
+    ids = draw(st.lists(st.integers(0, 99), unique=True, min_size=1,
+                        max_size=max_n))
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True,
+                         max_size=min(3 * len(ids), len(pairs)))) if pairs else []
+    return Digraph(ids, arcs)
+
+
+def brute_idoms(d, r):
+    """{v: immediate dominator of v} over the vertices r reaches, r mapped
+    to itself, by definition: x dominates y iff y leaves
+    reachable(d, r, removed={x}). One sweep per vertex."""
+    reach = reachable(d, r)
+    dom = {y: {y} for y in reach}
+    for x in reach:
+        for y in reach - reachable(d, r, removed={x}):
+            dom[y].add(x)
+    # the strict dominators of y form a chain; the idom is its deepest one,
+    # the one with the most dominators of its own
+    return {y: max(ds - {y}, key=lambda x: len(dom[x])) if y != r else r
+            for y, ds in dom.items()}
 
 
 def brute_arcs_disconnecting_two(d, r):

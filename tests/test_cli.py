@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from outbranching import OutTree, cli, parse_instance, treedp, validate_out_tree
+from outbranching import (OutTree, cli, leaf_pipeline, parse_instance, treedp,
+                          validate_out_tree)
 
 
 def run(capsys, *argv):
@@ -121,6 +122,28 @@ def test_dp_invariant_exit_five(capsys, tmp_path, monkeypatch, argv, text):
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal:") and err.count("\n") == 1
+
+
+K4 = "4 12\n" + "".join(f"{u} {v}\n" for u in range(4) for v in range(4) if u != v)
+
+
+def test_witness_fault_exit_five(capsys, tmp_path, monkeypatch):
+    # a witness the solver itself built that fails validation is an
+    # internal fault, not bad input
+    expand = leaf_pipeline.expand_through_steps
+
+    def dropping(tree, steps):
+        tree = expand(tree, steps)
+        return OutTree(tree.root, {c: p for c, p in tree.parents.items()
+                                   if c != max(tree.leaves())})
+
+    monkeypatch.setattr(leaf_pipeline, "expand_through_steps", dropping)
+    path = write_instance(tmp_path, K4)
+    code, out, err = run(capsys, "solve-lob", "--input", path, "--k", "2",
+                         "--root", "0")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal:") and "does not span" in err
 
 
 def test_parse_error_exit_two(capsys, tmp_path):

@@ -10,11 +10,14 @@ from outbranching import (
     nice_vertices,
     reachable,
 )
+from outbranching.connectivity import _idoms
 from helpers import (
     brute_arcs_disconnecting_two,
     brute_cut_profile,
+    brute_idoms,
     brute_is_rooted_2connected,
     grid_digraph,
+    labelled_digraphs,
     random_corpus,
 )
 
@@ -168,3 +171,10 @@ def test_dominator_answers_match_sweeps_on_corpora():
             assert is_rooted_2connected(d, r) == brute_is_rooted_2connected(d, r)
             checked += 1
     assert checked > 100
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(labelled_digraphs())
+def test_idoms_match_definition(d):
+    for r in sorted(d.vertices):
+        assert _idoms(d, r) == brute_idoms(d, r)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from outbranching import (
     Digraph,
@@ -14,7 +15,7 @@ from outbranching import (
     underlying_graph,
     validate_out_tree,
 )
-from helpers import random_corpus
+from helpers import labelled_digraphs, random_corpus
 
 
 def test_digraph_rejects_self_loops():
@@ -104,6 +105,12 @@ def test_out_tree_counts():
     t = OutTree(0, {1: 0, 2: 0, 3: 1})
     assert t.leaves() == {2, 3}
     assert t.internal_vertices() == {0, 1}
+    assert t.vertex_set == {0, 1, 2, 3} and t.size == 4
+    assert (t.children(0), t.children(1), t.children(3)) == ({1, 2}, {3}, frozenset())
+    with pytest.raises(KeyError):
+        t.children(4)
+    same = OutTree(0, {3: 1, 2: 0, 1: 0})
+    assert t == same and hash(t) == hash(same)
 
 
 def test_out_tree_rejects_cycles_and_orphans():
@@ -167,3 +174,24 @@ def test_round_trip_on_random_corpus():
         text = serialize_instance(d)
         assert parse_digraph(text) == d
         assert serialize_instance(parse_digraph(text)) == text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_digraphs())
+def test_contraction_matches_a_fresh_digraph(d):
+    before = {v: (d.out_neighbors(v), d.in_neighbors(v)) for v in d.vertices}
+    arcs = d.arcs
+    for u, v in sorted(d.arcs):
+        merged = {(u if a == v else a, u if b == v else b) for a, b in d.arcs}
+        fresh = Digraph(d.vertices - {v}, {(a, b) for a, b in merged if a != b})
+        got = contract_arc_directed(d, (u, v))
+        assert got == fresh
+        for w in fresh.vertices:
+            assert got.out_neighbors(w) == fresh.out_neighbors(w)
+            assert got.in_neighbors(w) == fresh.in_neighbors(w)
+        with pytest.raises(KeyError):
+            got.out_neighbors(v)
+        with pytest.raises(KeyError):
+            got.in_neighbors(v)
+    assert d.arcs == arcs
+    assert {v: (d.out_neighbors(v), d.in_neighbors(v)) for v in d.vertices} == before

@@ -1,4 +1,7 @@
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
 
 from outbranching import (
     Digraph,
@@ -22,9 +25,10 @@ from outbranching.leaf_pipeline import (
     reduce_lob,
     solve_lob,
 )
-from outbranching.connectivity import cut_profile
+from outbranching import leaf_pipeline
+from outbranching.connectivity import _idoms, cut_profile
 from outbranching.treewidth import treewidth_upper_bound
-from helpers import grid_digraph, random_corpus
+from helpers import grid_digraph, labelled_digraphs, random_corpus
 
 
 def bidirected_cycle(n):
@@ -266,3 +270,38 @@ def test_grid_solves():
     res = solve_lob(d, want, root=0)
     assert res.satisfiable
     assert not solve_lob(d, want + 1, root=0).satisfiable
+
+
+def carried_trees_match_fresh_ones(d):
+    """Run the stranding contractions from every root of d, recording the
+    dominator tree kept through each contraction, and check each against
+    a fresh one of the contracted graph. Returns the steps taken."""
+    update = leaf_pipeline._contract_tree
+    count = 0
+    for r in sorted(d.vertices):
+        trees = []
+
+        def recording(idom, arc):
+            update(idom, arc)
+            trees.append(dict(idom))
+
+        with mock.patch.object(leaf_pipeline, "_contract_tree", recording):
+            reduced, steps = exhaust_stranding_contractions(d, r)
+        after = [g for g, _ in steps[1:]] + ([reduced] if steps else [])
+        assert trees == [_idoms(g, r) for g in after], (d.arcs, r)
+        count += len(steps)
+    return count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_digraphs())
+@example(Digraph([10, 20, 30, 40, 50, 60],
+                 [(10, 20), (20, 30), (30, 40), (30, 50), (40, 60), (50, 60)]))
+def test_carried_dominator_tree_matches_a_fresh_one(d):
+    carried_trees_match_fresh_ones(d)
+
+
+def test_carried_dominator_tree_matches_on_corpora():
+    corpus = random_corpus(60, seed=31, n_lo=5, n_hi=12, density=1.4)
+    corpus += [grid_digraph(5, 5, seed=s, both_ways_prob=0.3) for s in range(4)]
+    assert sum(carried_trees_match_fresh_ones(d) for d in corpus) > 200

@@ -1,8 +1,9 @@
-"""The solver property tests again, under python -O.
+"""The solver property tests and the incremental-reduction tests again,
+under python -O.
 
 -O strips every assert from the package, so a check that guards a
 returned answer only holds there if it raises a real exception.
-pytest still rewrites the asserts of the test module itself.
+pytest still rewrites the asserts of the test modules themselves.
 """
 
 import os
@@ -10,6 +11,14 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS = (
+    "test_solver_properties.py",
+    "test_connectivity.py::test_idoms_match_definition",
+    "test_leaf_pipeline.py::test_carried_dominator_tree_matches_a_fresh_one",
+    "test_leaf_pipeline.py::test_carried_dominator_tree_matches_on_corpora",
+    "test_digraph.py::test_contraction_matches_a_fresh_digraph",
+    "test_cli.py::test_witness_fault_exit_five",
+)
 
 
 def test_solver_properties_pass_under_optimize():
@@ -17,7 +26,7 @@ def test_solver_properties_pass_under_optimize():
         [os.path.join(ROOT, "src")]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         os.path.join("tests", "test_solver_properties.py")],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + [os.path.join("tests", test) for test in TESTS],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

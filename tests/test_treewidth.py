@@ -130,7 +130,7 @@ def labelled_graphs(draw):
 @example(UndirectedGraph([5, 9, 2, 40, 41], [(5, 9), (9, 2), (2, 5), (40, 41)]))
 def test_min_fill_order_matches_full_rescan(g):
     order = brute_min_fill_order(g)
-    assert _greedy_order(g) == order
+    assert _greedy_order(g)[0] == order
     assert (decomposition_record(greedy_decomposition(g))
             == decomposition_record(decomposition_from_ordering(g, order)))
 
