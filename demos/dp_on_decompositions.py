@@ -26,24 +26,17 @@ def main():
           f"(brute force agrees: {brute_max_leaves(d, root) == count})")
     print(f"  leaves: {sorted(tree.leaves())}")
 
-    (internal, size), tree = dp_max_internal_outtree(d, root)
+    internal, tree = dp_max_internal_outtree(d, root)
     print(f"\nmax internal vertices in a spanning branching: {internal} "
           f"(brute force agrees: {brute_max_internal(d, root) == internal})")
     print(f"  internal: {sorted(tree.internal_vertices())}, "
-          f"tree size {size}")
+          f"tree size {tree.size}")
 
     arcs, path = dp_longest_path(d)
     want, _ = brute_longest_path(d)
     print(f"\nlongest directed path: {arcs} arcs "
           f"(brute force agrees: {want == arcs})")
     print(f"  one witness: {path}")
-
-    # Capping the tree size switches the branching DP to small subtrees,
-    # which is what the internal-vertex search uses for its pruned
-    # witnesses.
-    (internal, size), tree = dp_max_internal_outtree(d, root, size_cap=5)
-    print(f"\nsame DP capped at 5 vertices: {internal} internal in a "
-          f"tree of size {size}, arcs {sorted(tree.arcs())}")
 
 
 if __name__ == "__main__":

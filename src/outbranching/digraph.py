@@ -369,7 +369,7 @@ def parse_instance(text):
     """
     header = None
     arcs = []
-    seen = set()
+    succ = pred = None
     root = None
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -386,6 +386,8 @@ def parse_instance(text):
                 raise ParseError(f"malformed header at line {lineno}") from None
             if n < 1 or m < 0:
                 raise ParseError(f"bad sizes at line {lineno}")
+            succ = [set() for _ in range(n)]
+            pred = [set() for _ in range(n)]
             header = lineno
             continue
         if fields[0] == "root":
@@ -410,17 +412,22 @@ def parse_instance(text):
             raise ParseError(f"vertex out of range at line {lineno}")
         if u == v:
             raise ParseError(f"self-loop at line {lineno}")
-        if (u, v) in seen:
+        if v in succ[u]:
             raise ParseError(f"duplicate arc at line {lineno}")
         if len(arcs) == m:
             raise ParseError(f"more than {m} arcs at line {lineno}")
         arcs.append((u, v))
-        seen.add((u, v))
+        succ[u].add(v)
+        pred[v].add(u)
     if header is None:
         raise ParseError("empty input, expected a header line")
     if len(arcs) != m:
         raise ParseError(f"expected {m} arcs, found {len(arcs)}")
-    return Digraph.of(n, arcs), root
+    # every arc was checked above, so the maps go in as they are
+    return Digraph._from_parts(
+        frozenset(range(n)), frozenset(arcs),
+        {v: frozenset(s) for v, s in enumerate(succ)},
+        {v: frozenset(s) for v, s in enumerate(pred)}), root
 
 
 def parse_digraph(text):

@@ -16,8 +16,12 @@ split by breadth-first depth into ceil(sqrt(k))+1 interleaved classes.
 A witness tree is small, so it meets some class in at most
 ceil(2*sqrt(k)) vertices; deleting the rest of that class leaves a
 shallow digraph that still contains the witness.  The solver enumerates
-every (class, kept-subset) choice and runs the size-capped internal-DP
-on each residual digraph.
+every (class, kept-subset) choice and runs the internal-DP on each
+residual digraph.  That DP needs no size cap: it maximises over all
+r-out-trees of the residual digraph, which is an induced subgraph of the
+input, so any tree it finds with k internal vertices grows into a
+spanning witness, and a residual digraph that holds a small witness
+scores at least k.
 """
 
 import math
@@ -165,7 +169,8 @@ def expand_minimal_tree(digraph, root, tree):
     if missing:
         raise ValueError(f"vertices {missing} are unreachable from {root}")
     validate_out_tree(digraph, tree)
-    assert tree.root == root
+    if tree.root != root:
+        raise ValueError(f"tree is rooted at {tree.root}, not {root}")
     parents = dict(tree.parents)
     covered = set(tree.vertex_set)
     before = len(tree.internal_vertices())
@@ -179,18 +184,21 @@ def expand_minimal_tree(digraph, root, tree):
                     parents[w] = u
                     nxt.append(w)
         queue = nxt
-    assert covered == digraph.vertices
+    if covered != digraph.vertices:
+        raise DPInvariantError("breadth-first growth left vertices uncovered")
     grown = witness_tree(digraph, root, parents)
-    assert tree.arcs() <= grown.arcs()
-    assert len(grown.internal_vertices()) >= before
+    if not tree.arcs() <= grown.arcs():
+        raise DPInvariantError("the grown tree lost an arc of the witness")
+    if len(grown.internal_vertices()) < before:
+        raise DPInvariantError("the grown tree lost an internal vertex")
     return grown
 
 
 def _solve_one_root(digraph, k, root, budget):
     """Search the layered collection for one root.
 
-    Returns (report, tree-or-None); the tree is a small witness inside
-    the digraph, not yet expanded.
+    Returns (report, tree-or-None); the tree is an r-out-tree with at
+    least k internal vertices inside the digraph, not yet expanded.
     """
     report = {
         "root": root,
@@ -209,7 +217,6 @@ def _solve_one_root(digraph, k, root, budget):
         return report, None
     plan = build_partitions(underlying_graph(digraph), root, k)
     report["collection_size"] = plan.size
-    cap = witness_size_cap(k)
     cache = {}
     for sub in generate_collection(digraph, k, plan, budget):
         if sub.digraph.n < k + 1:
@@ -221,9 +228,7 @@ def _solve_one_root(digraph, k, root, budget):
             best = cache[key]
         else:
             report["evaluated"] += 1
-            (internal, _size), tree = dp_max_internal_outtree(
-                sub.digraph, root, size_cap=cap)
-            best = (internal, tree)
+            best = dp_max_internal_outtree(sub.digraph, root)
             cache[key] = best
         if best[0] >= k:
             report["outcome"] = "witness_tree"

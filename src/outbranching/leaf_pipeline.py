@@ -36,7 +36,6 @@ from .connectivity import (
     high_indegree_vertices,
     is_rooted_2connected,
     nice_vertices,
-    reachable,
 )
 from .digraph import (
     Digraph,
@@ -126,16 +125,16 @@ def exhaust_stranding_contractions(digraph, root):
     contraction preserves the maximum leaf count exactly.
     """
 
-    reduced, steps, _ = _contract_stranding_arcs(digraph, root)
+    reduced, steps, _ = _contract_stranding_arcs(digraph, root, _idoms(digraph, root))
     return reduced, steps
 
 
-def _contract_stranding_arcs(digraph, root):
-    """exhaust_stranding_contractions, also returning the dominator tree
-    of the reduced digraph: one tree is computed and kept current through
-    each contraction rather than recomputed."""
+def _contract_stranding_arcs(digraph, root, idom):
+    """exhaust_stranding_contractions from the dominator tree ``idom`` of
+    the digraph, also returning the tree of the reduced digraph: the one
+    tree is kept current through each contraction, in place, rather than
+    recomputed."""
 
-    idom = _idoms(digraph, root)
     steps = []
     current = digraph
     while True:
@@ -239,13 +238,15 @@ def reduce_lob(digraph, root, k):
 
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    missing = digraph.vertices - reachable(digraph, root)
+    # the dominator tree holds exactly the vertices the root reaches
+    idom = _idoms(digraph, root)
+    missing = digraph.vertices - idom.keys()
     if missing:
         raise RootDisconnected(root, missing)
     report = StructureReport(root, k)
 
     # the root reaches everything, so the tree of the reduced graph spans
-    reduced, steps, idom = _contract_stranding_arcs(digraph, root)
+    reduced, steps, idom = _contract_stranding_arcs(digraph, root, idom)
     report.contractions = len(steps)
     report.reduced_n = reduced.n
     report.reduced_m = reduced.m

@@ -1,12 +1,12 @@
 """Dynamic programs over nice tree decompositions of the underlying graph.
 
 Three optimizations share the bag-state machinery: maximum-leaf spanning
-branchings, maximum-internal out-trees under a size cap, and longest
-directed paths.  Each underlying undirected edge of the host digraph is
-handled at exactly one op of the nice decomposition (the first op in its
-list whose bag contains both endpoints), so an arc can never be committed
-twice and an in-degree violation shows up as a dead state instead of a
-silent double count.
+branchings, maximum-internal out-trees, and longest directed paths.
+Each underlying undirected edge of the host digraph is handled at
+exactly one op of the nice decomposition (the first op in its list whose
+bag contains both endpoints), so an arc can never be committed twice and
+an in-degree violation shows up as a dead state instead of a silent
+double count.
 
 A state records how a partial solution meets the current bag: a partition
 of the in-bag solution vertices into connected fragments plus per-vertex
@@ -15,14 +15,15 @@ gain another connection, so it must either be the finished solution or
 the state dies on the spot.  That single rule is what makes the final
 tables sound.
 
-Encoding: the partition is a tuple with one entry per bag position (-1
-outside the solution, else a fragment label numbered by first
-occurrence), and each kind of per-vertex flag is one int whose bit i
-belongs to bag position i.  Introduce and forget insert or delete a bit;
-a join tests two flag sets for overlap with ``&`` and unites them with
-``|``.  The join groups each side's states by partition (with the other
-non-flag fields), merges the fragments once per pair of groups with the
-same in-bag mask, and only then crosses the flag ints of the two groups.
+Encoding: every state is (blocks, flags, flags, status).  blocks, the
+partition, is a tuple with one entry per bag position (-1 outside the
+solution, else a fragment label numbered by first occurrence), and each
+kind of per-vertex flag is one int whose bit i belongs to bag position
+i.  Introduce and forget insert or delete a bit; a join tests two flag
+sets for overlap with ``&`` and unites them with ``|``.  The join groups
+each side's states by (blocks, status), merges the fragments once per
+pair of groups with the same in-bag mask, and only then crosses the flag
+ints of the two groups.
 Relabelling and merging depend on partitions alone and are memoized.
 
 A broken invariant, including a witness that fails validation, raises
@@ -128,23 +129,22 @@ def _merge_fragments(lb, rb):
     return blocks, lmap, rmap
 
 
-def _group_pairs(tl, tr, split):
+def _group_pairs(tl, tr):
     """Pairs of state groups that can be joined, with their merged fragments.
 
-    ``split(state, score)`` returns (key, item); the key holds every
-    non-flag field and starts with the blocks tuple.  Yields (n_in, lkey,
-    litems, rkey, ritems, merged) for each left and right group with the
-    same in-bag mask whose fragments merge without a cycle, where n_in
-    counts the in-bag solution vertices and merged is the
-    _merge_fragments result of the two partitions.
+    A group holds the states that share (blocks, status), each as a
+    (flags, flags, score, state) item.  Yields (n_in, lkey, litems, rkey,
+    ritems, merged) for each left and right group with the same in-bag
+    mask whose fragments merge without a cycle, where n_in counts the
+    in-bag solution vertices and merged is the _merge_fragments result of
+    the two partitions.
     """
 
     sides = []
     for tin in (tl, tr):
         groups = {}
         for s, score in tin.items():
-            key, item = split(s, score)
-            groups.setdefault(key, []).append(item)
+            groups.setdefault((s[0], s[3]), []).append((s[1], s[2], score, s))
         by_mask = {}
         for key, items in groups.items():
             by_mask.setdefault(tuple(b >= 0 for b in key[0]), []).append((key, items))
@@ -162,41 +162,28 @@ def _group_pairs(tl, tr, split):
                     yield n_in, lkey, litems, rkey, ritems, merged
 
 
-def _tree_split(s, score):
-    blocks, pb, cb, rstat, size = s
-    return (blocks, rstat), (pb, cb, size, score, s)
-
-
-def _path_split(s, score):
-    blocks, ib, ob, closed = s
-    return (blocks, closed), (ib, ob, score, s)
-
-
 class _TreeEngine:
     """Out-tree and spanning-branching tables.
 
-    State: (blocks, parent_bits, child_bits, root_status, size).  blocks
-    holds -1 for bag vertices outside the solution and a canonical
-    fragment label otherwise.  Bit i of parent_bits (child_bits) is set
-    once the vertex at bag position i has its parent arc (a child arc).
+    State: (blocks, parent_bits, child_bits, root_status).  blocks holds
+    -1 for bag vertices outside the solution and a canonical fragment
+    label otherwise.  Bit i of parent_bits (child_bits) is set once the
+    vertex at bag position i has its parent arc (a child arc).
     root_status is ABSENT before the root appears, CLOSED once the root
-    fragment is complete, and the root fragment's label in between.  size
-    counts solution vertices seen so far and is only constrained when
-    size_cap is set.
+    fragment is complete, and the root fragment's label in between.
 
     spanning selects the problem: every vertex joins the solution and
     forgotten leaves score (max leaves), or vertices other than the root
     may stay outside and forgotten internal vertices score (max internal).
     """
 
-    def __init__(self, digraph, root, spanning, size_cap):
+    def __init__(self, digraph, root, spanning):
         self.digraph = digraph
         self.root = root
         self.spanning = spanning
-        self.size_cap = size_cap
 
     def leaf(self):
-        state = ((), 0, 0, ABSENT, 0)
+        state = ((), 0, 0, ABSENT)
         return {state: 0}, {state: None}
 
     def introduce(self, tin, bag, v):
@@ -204,16 +191,14 @@ class _TreeEngine:
         low = (1 << p) - 1
         is_root = v == self.root
         outside = not self.spanning and not is_root
-        cap = self.size_cap
         table, back = {}, {}
         for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
+            blocks, pb, cb, rstat = s
             pb = (pb & low) | (pb & ~low) << 1
             cb = (cb & low) | (cb & ~low) << 1
             if outside:
-                _push(table, back, (blocks[:p] + (-1,) + blocks[p:], pb, cb, rstat, size),
-                      score, s)
-            if rstat == CLOSED or (cap is not None and size >= cap):
+                _push(table, back, (blocks[:p] + (-1,) + blocks[p:], pb, cb, rstat), score, s)
+            if rstat == CLOSED:
                 continue
             nb, mapping = _insert(blocks, p)
             if is_root:
@@ -222,7 +207,7 @@ class _TreeEngine:
                 rstat = nb[p]
             elif rstat >= 0:
                 rstat = mapping[rstat]
-            _push(table, back, (nb, pb, cb, rstat, size + 1), score, s)
+            _push(table, back, (nb, pb, cb, rstat), score, s)
         return table, back
 
     def forget(self, tin, bag, v):
@@ -234,7 +219,7 @@ class _TreeEngine:
         flip = 1 if self.spanning else 0
         table, back = {}, {}
         for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
+            blocks, pb, cb, rstat = s
             b = blocks[p]
             rb = blocks[:p] + blocks[p + 1:]
             if b >= 0:
@@ -250,7 +235,7 @@ class _TreeEngine:
                     rstat = CLOSED
                 else:
                     continue
-            st = (rb, (pb & low) | (pb >> 1 & ~low), (cb & low) | (cb >> 1 & ~low), rstat, size)
+            st = (rb, (pb & low) | (pb >> 1 & ~low), (cb & low) | (cb >> 1 & ~low), rstat)
             _push(table, back, st, score, s)
         return table, back
 
@@ -265,22 +250,20 @@ class _TreeEngine:
         # every state may leave the edge unused; back only records arcs
         table, back = dict(tin), {}
         for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
+            blocks, pb, cb, rstat = s
             for arc, px, py in cands:
                 bx, by = blocks[px], blocks[py]
                 if bx < 0 or by < 0 or bx == by or pb >> py & 1:
                     continue
                 nb, mapping = _fuse(blocks, bx, by)
                 rs2 = mapping[bx if rstat == by else rstat] if rstat >= 0 else rstat
-                st = (nb, pb | 1 << py, cb | 1 << px, rs2, size)
+                st = (nb, pb | 1 << py, cb | 1 << px, rs2)
                 _push(table, back, st, score, (s, arc))
         return table, back
 
     def join(self, tl, tr):
         table, back = {}, {}
-        cap = self.size_cap
-        for n_in, (lb, lr), litems, (rb, rr), ritems, merged in _group_pairs(
-                tl, tr, _tree_split):
+        for n_in, (lb, lr), litems, (rb, rr), ritems, merged in _group_pairs(tl, tr):
             blocks, lmap, rmap = merged
             if lr == CLOSED or rr == CLOSED:
                 # a finished tree passes only beside an untouched side
@@ -293,14 +276,11 @@ class _TreeEngine:
                     if rstat >= 0 and rmap[rr] != rstat:
                         raise DPInvariantError("two root fragments met outside the bag")
                     rstat = rmap[rr]
-            for lp, lc, lsize, lscore, ls in litems:
-                for rp, rc, rsize, rscore, rs in ritems:
+            for lp, lc, lscore, ls in litems:
+                for rp, rc, rscore, rs in ritems:
                     if lp & rp:
                         continue
-                    size = lsize + rsize - n_in
-                    if cap is not None and size > cap:
-                        continue
-                    st = (blocks, lp | rp, lc | rc, rstat, size)
+                    st = (blocks, lp | rp, lc | rc, rstat)
                     score = lscore + rscore
                     old = table.get(st)
                     if old is None or score > old:
@@ -389,7 +369,7 @@ class _PathEngine:
     def join(self, tl, tr):
         table, back = {}, {}
         for n_in, (lb, lclosed), litems, (rb, rclosed), ritems, merged in _group_pairs(
-                tl, tr, _path_split):
+                tl, tr):
             closed = lclosed | rclosed
             if (lclosed and rclosed) or (closed and n_in):
                 # one finished path at most, and no fragment beside it
@@ -482,9 +462,29 @@ def _witness_tree(digraph, root, arcs, spanning):
     return witness_tree(digraph, root, parents, spanning)
 
 
-def _check_root(digraph, root):
+def _best_tree(digraph, root, nice, spanning):
+    """The best finished out-tree of the _TreeEngine run, as (score, tree).
+
+    The witness is validated and its leaf count (spanning) or internal
+    count must match the table.  Returns None when no state closed.
+    """
+
     if root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
+    top = _execute(digraph, nice, _TreeEngine(digraph, root, spanning))
+    best = None
+    for state, score in top.table.items():
+        if state[3] == CLOSED and (best is None or score > top.table[best]):
+            best = state
+    if best is None:
+        return None
+    score = top.table[best]
+    tree = _witness_tree(digraph, root, _collect_arcs(top, best), spanning)
+    kind, got = (("leaves", tree.leaves()) if spanning
+                 else ("internal vertices", tree.internal_vertices()))
+    if len(got) != score:
+        raise DPInvariantError(f"witness has {len(got)} {kind}, table says {score}")
+    return score, tree
 
 
 def dp_max_leaves(digraph, root, nice=None):
@@ -493,51 +493,20 @@ def dp_max_leaves(digraph, root, nice=None):
     Returns (count, tree) or None when no spanning branching exists.
     """
 
-    _check_root(digraph, root)
-    engine = _TreeEngine(digraph, root, spanning=True, size_cap=None)
-    top = _execute(digraph, nice, engine)
-    best = None
-    for state, score in top.table.items():
-        if state[3] == CLOSED and (best is None or score > top.table[best]):
-            best = state
-    if best is None:
-        return None
-    score = top.table[best]
-    tree = _witness_tree(digraph, root, _collect_arcs(top, best), spanning=True)
-    if len(tree.leaves()) != score:
-        raise DPInvariantError(f"witness has {len(tree.leaves())} leaves, table says {score}")
-    return score, tree
+    return _best_tree(digraph, root, nice, spanning=True)
 
 
-def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None):
-    """Most internal vertices over out-trees rooted at root, size capped.
+def dp_max_internal_outtree(digraph, root, nice=None):
+    """Most internal vertices over out-trees rooted at root.
 
-    Returns ((internal, size), tree).  The single-vertex tree {root} is
-    always available, so there is always an answer.
+    Returns (internal, tree).  The single-vertex tree {root} is always
+    available, so there is always an answer.
     """
 
-    _check_root(digraph, root)
-    if size_cap is not None and size_cap < 1:
-        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    engine = _TreeEngine(digraph, root, spanning=False, size_cap=size_cap)
-    top = _execute(digraph, nice, engine)
-    best = None
-    for state, score in top.table.items():
-        if state[3] == CLOSED and (
-                best is None or (score, -state[4]) > (top.table[best], -best[4])):
-            best = state
+    best = _best_tree(digraph, root, nice, spanning=False)
     if best is None:
         raise DPInvariantError("the one-vertex tree did not survive")
-    score = top.table[best]
-    size = best[4]
-    tree = _witness_tree(digraph, root, _collect_arcs(top, best), spanning=False)
-    if (len(tree.internal_vertices()), tree.size) != (score, size):
-        raise DPInvariantError(
-            f"witness has {len(tree.internal_vertices())} internal vertices and "
-            f"size {tree.size}, table says {score} and {size}")
-    if size_cap is not None and size > size_cap:
-        raise DPInvariantError(f"witness size {size} exceeds the cap {size_cap}")
-    return (score, size), tree
+    return best
 
 
 def dp_longest_path(digraph, nice=None):

@@ -3,12 +3,16 @@ import pytest
 from outbranching import (
     BudgetError,
     Digraph,
+    DPInvariantError,
+    OutTree,
     brute_max_internal,
+    brute_max_internal_tree,
     enum_out_trees,
     reachable,
     underlying_graph,
     validate_out_tree,
 )
+from outbranching import internal_pipeline
 from outbranching.internal_pipeline import (
     LayerPartition,
     SingleInstance,
@@ -121,7 +125,6 @@ def test_budget_error_before_any_yield():
 
 def test_expand_keeps_arcs_and_internal_count():
     path = Digraph.of(3, [(0, 1), (1, 2)])
-    from outbranching import OutTree
     stub = OutTree(0, {1: 0})
     grown = expand_minimal_tree(path, 0, stub)
     assert grown.parents == {1: 0, 2: 1}
@@ -132,9 +135,25 @@ def test_expand_keeps_arcs_and_internal_count():
 
 def test_expand_rejects_unreachable():
     d = Digraph.of(3, [(0, 1)])
-    from outbranching import OutTree
     with pytest.raises(ValueError):
         expand_minimal_tree(d, 0, OutTree(0, {1: 0}))
+
+
+def test_expand_rejects_a_tree_with_another_root():
+    path = Digraph.of(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        expand_minimal_tree(path, 0, OutTree(1, {2: 1}))
+
+
+def test_expand_rejects_a_growth_that_loses_witness_arcs(monkeypatch):
+    # a growth step that rebuilds the tree as a star drops the witness arc
+    # (1, 2); the check must raise, also under python -O
+    d = Digraph.of(3, [(0, 1), (1, 2), (0, 2)])
+    build = internal_pipeline.witness_tree
+    monkeypatch.setattr(internal_pipeline, "witness_tree",
+                        lambda g, r, parents: build(g, r, {1: r, 2: r}))
+    with pytest.raises(DPInvariantError):
+        expand_minimal_tree(d, 0, OutTree(0, {1: 0, 2: 1}))
 
 
 def test_expand_on_corpus():
@@ -165,6 +184,25 @@ def test_solve_matches_oracle():
                 if res.satisfiable and res.witness is not None:
                     validate_out_tree(d, res.witness, spanning=True)
                     assert len(res.witness.internal_vertices()) >= k
+
+
+def test_solve_matches_oracle_when_the_best_tree_exceeds_the_cap():
+    # the root sees every vertex (depth 1, one sub-instance) and 1..6 form
+    # a path, so the best out-tree spans all 7 vertices: more than
+    # witness_size_cap(k) for k <= 3
+    n = 7
+    d = Digraph.of(n, [(0, v) for v in range(1, n)]
+                   + [(v, v + 1) for v in range(1, n - 1)])
+    want = brute_max_internal(d, 0)
+    assert want == n - 1
+    for k in (1, 2, 3):
+        assert brute_max_internal_tree(d, 0, max_size=witness_size_cap(k)) < want
+    for k in range(1, n + 1):
+        res = solve_iob(d, k, root=0)
+        assert res.satisfiable == (want >= k), k
+        if res.satisfiable:
+            validate_out_tree(d, res.witness, spanning=True)
+            assert len(res.witness.internal_vertices()) >= k
 
 
 def test_unreachable_root_reports_disconnected():

@@ -18,6 +18,7 @@ TESTS = (
     "test_leaf_pipeline.py::test_carried_dominator_tree_matches_on_corpora",
     "test_digraph.py::test_contraction_matches_a_fresh_digraph",
     "test_cli.py::test_witness_fault_exit_five",
+    "test_internal_pipeline.py::test_expand_rejects_a_growth_that_loses_witness_arcs",
 )
 
 

@@ -81,47 +81,39 @@ def test_max_leaves_with_exact_decomposition():
 
 def test_max_internal_known_values():
     path = Digraph.of(4, [(0, 1), (1, 2), (2, 3)])
-    (internal, size), tree = dp_max_internal_outtree(path, 0)
-    assert internal == 3 and size == 4
+    internal, tree = dp_max_internal_outtree(path, 0)
+    assert internal == 3 and tree.size == 4
 
-    (internal, size), tree = dp_max_internal_outtree(path, 0, size_cap=3)
-    assert internal == 2 and size == 3
-
-    (internal, size), tree = dp_max_internal_outtree(path, 0, size_cap=1)
-    assert internal == 0 and size == 1
-    assert tree.vertex_set == {0}
+    # a sink root has only the one-vertex tree
+    internal, tree = dp_max_internal_outtree(path, 3)
+    assert internal == 0 and tree.vertex_set == {3}
 
 
 def test_max_internal_star():
     star = Digraph.of(4, [(0, 1), (0, 2), (0, 3)])
-    (internal, size), tree = dp_max_internal_outtree(star, 0)
-    assert internal == 1
-    # smallest tree achieving one internal vertex wins the tie
-    assert size == 2
+    internal, tree = dp_max_internal_outtree(star, 0)
+    assert internal == 1 == len(tree.internal_vertices())
 
 
 def test_max_internal_matches_tree_oracle():
     for d in random_corpus(35, seed=113, n_lo=3, n_hi=6, density=2.0):
-        n = d.n
         for r in sorted(d.vertices):
-            for cap in (1, 2, n):
-                want = brute_max_internal_tree(d, r, max_size=cap)
-                (got, size), tree = dp_max_internal_outtree(d, r, size_cap=cap)
-                assert got == want, (d.arcs, r, cap, got, want)
-                assert size <= cap
-                validate_out_tree(d, tree)
+            want = brute_max_internal_tree(d, r, max_size=d.n)
+            got, tree = dp_max_internal_outtree(d, r)
+            assert got == want, (d.arcs, r, got, want)
+            validate_out_tree(d, tree)
+            assert tree.root == r and len(tree.internal_vertices()) == got
 
 
 def test_max_internal_spanning_agrees_with_branching_oracle():
-    # with the cap at n and full reachability, the best spanning branching
-    # is one candidate; the unrestricted tree optimum can only be at least
-    # that value
+    # with full reachability the best spanning branching is one candidate;
+    # the unrestricted tree optimum can only be at least that value
     for d in random_corpus(25, seed=127, n_lo=3, n_hi=6, density=2.5):
         for r in sorted(d.vertices):
             if reachable(d, r) != d.vertices:
                 continue
             spanning = brute_max_internal(d, r)
-            (best, _), _ = dp_max_internal_outtree(d, r)
+            best, _ = dp_max_internal_outtree(d, r)
             assert best >= spanning
 
 
@@ -180,22 +172,21 @@ def test_max_leaves_denser_corpus():
 
 @st.composite
 def dp_cases(draw):
-    """A digraph on at most 7 vertices, a root, a size cap and an
-    elimination order; random orders give join bags of many shapes."""
+    """A digraph on at most 7 vertices, a root and an elimination order;
+    random orders give join bags of many shapes."""
     n = draw(st.integers(1, 7))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1,
                          max_size=min(3 * n, len(pairs)))) if pairs else []
     root = draw(st.integers(0, n - 1))
-    cap = draw(st.integers(1, n))
     order = draw(st.permutations(range(n)))
-    return Digraph.of(n, arcs), root, cap, order
+    return Digraph.of(n, arcs), root, order
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(dp_cases())
 def test_dps_match_oracles_on_random_decompositions(case):
-    d, root, cap, order = case
+    d, root, order = case
     nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
 
     want = brute_max_leaves(d, root)
@@ -207,10 +198,10 @@ def test_dps_match_oracles_on_random_decompositions(case):
         validate_out_tree(d, got[1], spanning=True)
         assert len(got[1].leaves()) == want
 
-    (internal, size), tree = dp_max_internal_outtree(d, root, nice, size_cap=cap)
-    assert internal == brute_max_internal_tree(d, root, max_size=cap)
+    internal, tree = dp_max_internal_outtree(d, root, nice)
+    assert internal == brute_max_internal_tree(d, root, max_size=d.n)
     validate_out_tree(d, tree)
-    assert tree.root == root and tree.size == size <= cap
+    assert tree.root == root
     assert len(tree.internal_vertices()) == internal
 
     length, path = dp_longest_path(d, nice)
