@@ -38,6 +38,13 @@ def main():
           f"(brute force agrees: {want == arcs})")
     print(f"  one witness: {path}")
 
+    # Capping the tree size switches the branching DP to small subtrees,
+    # which is what the internal-vertex search uses for its pruned
+    # witnesses.
+    internal, tree = dp_max_internal_outtree(d, root, size_cap=5)
+    print(f"\nsame DP capped at 5 vertices: {internal} internal in a "
+          f"tree of size {tree.size}, arcs {sorted(tree.arcs())}")
+
 
 if __name__ == "__main__":
     main()

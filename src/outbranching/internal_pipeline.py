@@ -17,11 +17,8 @@ A witness tree is small, so it meets some class in at most
 ceil(2*sqrt(k)) vertices; deleting the rest of that class leaves a
 shallow digraph that still contains the witness.  The solver enumerates
 every (class, kept-subset) choice and runs the internal-DP on each
-residual digraph.  That DP needs no size cap: it maximises over all
-r-out-trees of the residual digraph, which is an induced subgraph of the
-input, so any tree it finds with k internal vertices grows into a
-spanning witness, and a residual digraph that holds a small witness
-scores at least k.
+residual digraph, capped at the witness size when the digraph is larger.
+The cap loses no answer and keeps the DP polynomial in the bag width.
 """
 
 import math
@@ -217,6 +214,7 @@ def _solve_one_root(digraph, k, root, budget):
         return report, None
     plan = build_partitions(underlying_graph(digraph), root, k)
     report["collection_size"] = plan.size
+    cap = witness_size_cap(k)
     cache = {}
     for sub in generate_collection(digraph, k, plan, budget):
         if sub.digraph.n < k + 1:
@@ -228,7 +226,8 @@ def _solve_one_root(digraph, k, root, budget):
             best = cache[key]
         else:
             report["evaluated"] += 1
-            best = dp_max_internal_outtree(sub.digraph, root)
+            best = dp_max_internal_outtree(
+                sub.digraph, root, size_cap=cap if cap < sub.digraph.n else None)
             cache[key] = best
         if best[0] >= k:
             report["outcome"] = "witness_tree"

@@ -1,12 +1,12 @@
 """Dynamic programs over nice tree decompositions of the underlying graph.
 
 Three optimizations share the bag-state machinery: maximum-leaf spanning
-branchings, maximum-internal out-trees, and longest directed paths.
-Each underlying undirected edge of the host digraph is handled at
-exactly one op of the nice decomposition (the first op in its list whose
-bag contains both endpoints), so an arc can never be committed twice and
-an in-degree violation shows up as a dead state instead of a silent
-double count.
+branchings, maximum-internal out-trees (optionally under a size cap),
+and longest directed paths.  Each underlying undirected edge of the host
+digraph is handled at exactly one op of the nice decomposition (the
+first op in its list whose bag contains both endpoints), so an arc can
+never be committed twice and an in-degree violation shows up as a dead
+state instead of a silent double count.
 
 A state records how a partial solution meets the current bag: a partition
 of the in-bag solution vertices into connected fragments plus per-vertex
@@ -15,15 +15,15 @@ gain another connection, so it must either be the finished solution or
 the state dies on the spot.  That single rule is what makes the final
 tables sound.
 
-Encoding: every state is (blocks, flags, flags, status).  blocks, the
-partition, is a tuple with one entry per bag position (-1 outside the
-solution, else a fragment label numbered by first occurrence), and each
-kind of per-vertex flag is one int whose bit i belongs to bag position
-i.  Introduce and forget insert or delete a bit; a join tests two flag
-sets for overlap with ``&`` and unites them with ``|``.  The join groups
-each side's states by (blocks, status), merges the fragments once per
-pair of groups with the same in-bag mask, and only then crosses the flag
-ints of the two groups.
+Encoding: every state starts (blocks, flags, flags, status); a tree
+state also carries a size.  blocks, the partition, is a tuple with one
+entry per bag position (-1 outside the solution, else a fragment label
+numbered by first occurrence), and each kind of per-vertex flag is one
+int whose bit i belongs to bag position i.  Introduce and forget insert
+or delete a bit; a join tests two flag sets for overlap with ``&`` and
+unites them with ``|``.  The join groups each side's states by (blocks,
+status), merges the fragments once per pair of groups with the same
+in-bag mask, and only then crosses the flag ints of the two groups.
 Relabelling and merging depend on partitions alone and are memoized.
 
 A broken invariant, including a witness that fails validation, raises
@@ -33,6 +33,7 @@ under ``python -O``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
@@ -137,7 +138,8 @@ def _group_pairs(tl, tr):
     ritems, merged) for each left and right group with the same in-bag
     mask whose fragments merge without a cycle, where n_in counts the
     in-bag solution vertices and merged is the _merge_fragments result of
-    the two partitions.
+    the two partitions.  Any field after the status travels with the
+    state.
     """
 
     sides = []
@@ -165,25 +167,30 @@ def _group_pairs(tl, tr):
 class _TreeEngine:
     """Out-tree and spanning-branching tables.
 
-    State: (blocks, parent_bits, child_bits, root_status).  blocks holds
-    -1 for bag vertices outside the solution and a canonical fragment
-    label otherwise.  Bit i of parent_bits (child_bits) is set once the
-    vertex at bag position i has its parent arc (a child arc).
+    State: (blocks, parent_bits, child_bits, root_status, size).  blocks
+    holds -1 for bag vertices outside the solution and a canonical
+    fragment label otherwise.  Bit i of parent_bits (child_bits) is set
+    once the vertex at bag position i has its parent arc (a child arc).
     root_status is ABSENT before the root appears, CLOSED once the root
     fragment is complete, and the root fragment's label in between.
 
     spanning selects the problem: every vertex joins the solution and
     forgotten leaves score (max leaves), or vertices other than the root
     may stay outside and forgotten internal vertices score (max internal).
+
+    size counts the solution vertices seen so far under a size_cap and
+    stays 0 without one, so only a capped run keeps a state per size.
     """
 
-    def __init__(self, digraph, root, spanning):
+    def __init__(self, digraph, root, spanning, size_cap=None):
         self.digraph = digraph
         self.root = root
         self.spanning = spanning
+        self.grow = 0 if size_cap is None else 1
+        self.size_cap = math.inf if size_cap is None else size_cap
 
     def leaf(self):
-        state = ((), 0, 0, ABSENT)
+        state = ((), 0, 0, ABSENT, 0)
         return {state: 0}, {state: None}
 
     def introduce(self, tin, bag, v):
@@ -191,14 +198,16 @@ class _TreeEngine:
         low = (1 << p) - 1
         is_root = v == self.root
         outside = not self.spanning and not is_root
+        cap, grow = self.size_cap, self.grow
         table, back = {}, {}
         for s, score in tin.items():
-            blocks, pb, cb, rstat = s
+            blocks, pb, cb, rstat, size = s
             pb = (pb & low) | (pb & ~low) << 1
             cb = (cb & low) | (cb & ~low) << 1
             if outside:
-                _push(table, back, (blocks[:p] + (-1,) + blocks[p:], pb, cb, rstat), score, s)
-            if rstat == CLOSED:
+                _push(table, back, (blocks[:p] + (-1,) + blocks[p:], pb, cb, rstat, size),
+                      score, s)
+            if rstat == CLOSED or size >= cap:
                 continue
             nb, mapping = _insert(blocks, p)
             if is_root:
@@ -207,7 +216,7 @@ class _TreeEngine:
                 rstat = nb[p]
             elif rstat >= 0:
                 rstat = mapping[rstat]
-            _push(table, back, (nb, pb, cb, rstat), score, s)
+            _push(table, back, (nb, pb, cb, rstat, size + grow), score, s)
         return table, back
 
     def forget(self, tin, bag, v):
@@ -219,7 +228,7 @@ class _TreeEngine:
         flip = 1 if self.spanning else 0
         table, back = {}, {}
         for s, score in tin.items():
-            blocks, pb, cb, rstat = s
+            blocks, pb, cb, rstat, size = s
             b = blocks[p]
             rb = blocks[:p] + blocks[p + 1:]
             if b >= 0:
@@ -235,7 +244,7 @@ class _TreeEngine:
                     rstat = CLOSED
                 else:
                     continue
-            st = (rb, (pb & low) | (pb >> 1 & ~low), (cb & low) | (cb >> 1 & ~low), rstat)
+            st = (rb, (pb & low) | (pb >> 1 & ~low), (cb & low) | (cb >> 1 & ~low), rstat, size)
             _push(table, back, st, score, s)
         return table, back
 
@@ -250,19 +259,20 @@ class _TreeEngine:
         # every state may leave the edge unused; back only records arcs
         table, back = dict(tin), {}
         for s, score in tin.items():
-            blocks, pb, cb, rstat = s
+            blocks, pb, cb, rstat, size = s
             for arc, px, py in cands:
                 bx, by = blocks[px], blocks[py]
                 if bx < 0 or by < 0 or bx == by or pb >> py & 1:
                     continue
                 nb, mapping = _fuse(blocks, bx, by)
                 rs2 = mapping[bx if rstat == by else rstat] if rstat >= 0 else rstat
-                st = (nb, pb | 1 << py, cb | 1 << px, rs2)
+                st = (nb, pb | 1 << py, cb | 1 << px, rs2, size)
                 _push(table, back, st, score, (s, arc))
         return table, back
 
     def join(self, tl, tr):
         table, back = {}, {}
+        cap, grow = self.size_cap, self.grow
         for n_in, (lb, lr), litems, (rb, rr), ritems, merged in _group_pairs(tl, tr):
             blocks, lmap, rmap = merged
             if lr == CLOSED or rr == CLOSED:
@@ -276,11 +286,15 @@ class _TreeEngine:
                     if rstat >= 0 and rmap[rr] != rstat:
                         raise DPInvariantError("two root fragments met outside the bag")
                     rstat = rmap[rr]
+            shared = grow * n_in
             for lp, lc, lscore, ls in litems:
                 for rp, rc, rscore, rs in ritems:
                     if lp & rp:
                         continue
-                    st = (blocks, lp | rp, lc | rc, rstat)
+                    size = ls[4] + rs[4] - shared
+                    if size > cap:
+                        continue
+                    st = (blocks, lp | rp, lc | rc, rstat, size)
                     score = lscore + rscore
                     old = table.get(st)
                     if old is None or score > old:
@@ -462,16 +476,17 @@ def _witness_tree(digraph, root, arcs, spanning):
     return witness_tree(digraph, root, parents, spanning)
 
 
-def _best_tree(digraph, root, nice, spanning):
+def _best_tree(digraph, root, nice, spanning, size_cap=None):
     """The best finished out-tree of the _TreeEngine run, as (score, tree).
 
-    The witness is validated and its leaf count (spanning) or internal
-    count must match the table.  Returns None when no state closed.
+    The witness is validated, its leaf count (spanning) or internal count
+    must match the table, and under a size cap so must its size.  Returns
+    None when no state closed.
     """
 
     if root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
-    top = _execute(digraph, nice, _TreeEngine(digraph, root, spanning))
+    top = _execute(digraph, nice, _TreeEngine(digraph, root, spanning, size_cap))
     best = None
     for state, score in top.table.items():
         if state[3] == CLOSED and (best is None or score > top.table[best]):
@@ -484,6 +499,8 @@ def _best_tree(digraph, root, nice, spanning):
                  else ("internal vertices", tree.internal_vertices()))
     if len(got) != score:
         raise DPInvariantError(f"witness has {len(got)} {kind}, table says {score}")
+    if size_cap is not None and tree.size != best[4]:
+        raise DPInvariantError(f"witness has {tree.size} vertices, table says {best[4]}")
     return score, tree
 
 
@@ -496,14 +513,17 @@ def dp_max_leaves(digraph, root, nice=None):
     return _best_tree(digraph, root, nice, spanning=True)
 
 
-def dp_max_internal_outtree(digraph, root, nice=None):
-    """Most internal vertices over out-trees rooted at root.
+def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None):
+    """Most internal vertices over out-trees rooted at root, with at most
+    size_cap vertices when a cap is given.
 
     Returns (internal, tree).  The single-vertex tree {root} is always
     available, so there is always an answer.
     """
 
-    best = _best_tree(digraph, root, nice, spanning=False)
+    if size_cap is not None and size_cap < 1:
+        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+    best = _best_tree(digraph, root, nice, spanning=False, size_cap=size_cap)
     if best is None:
         raise DPInvariantError("the one-vertex tree did not survive")
     return best

@@ -23,6 +23,7 @@ from outbranching.internal_pipeline import (
     solve_iob,
     witness_size_cap,
 )
+from outbranching.treedp import dp_max_internal_outtree
 from helpers import random_corpus
 
 
@@ -195,6 +196,8 @@ def test_solve_matches_oracle_when_the_best_tree_exceeds_the_cap():
                    + [(v, v + 1) for v in range(1, n - 1)])
     want = brute_max_internal(d, 0)
     assert want == n - 1
+    internal, tree = dp_max_internal_outtree(d, 0)
+    assert internal == want and tree.size == n
     for k in (1, 2, 3):
         assert brute_max_internal_tree(d, 0, max_size=witness_size_cap(k)) < want
     for k in range(1, n + 1):
@@ -203,6 +206,23 @@ def test_solve_matches_oracle_when_the_best_tree_exceeds_the_cap():
         if res.satisfiable:
             validate_out_tree(d, res.witness, spanning=True)
             assert len(res.witness.internal_vertices()) >= k
+
+
+def test_solve_caps_the_dp_when_the_cap_is_below_the_vertex_count(monkeypatch):
+    # uncapped, the DP on a complete digraph keeps every fragment
+    # partition of its one wide bag; the cap keeps small k cheap
+    n, k = 8, 2
+    d = Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    caps = []
+    run = internal_pipeline.dp_max_internal_outtree
+
+    def spy(digraph, root, size_cap=None):
+        caps.append(size_cap)
+        return run(digraph, root, size_cap=size_cap)
+
+    monkeypatch.setattr(internal_pipeline, "dp_max_internal_outtree", spy)
+    assert solve_iob(d, k, root=0).satisfiable
+    assert caps == [witness_size_cap(k)]
 
 
 def test_unreachable_root_reports_disconnected():

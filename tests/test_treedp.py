@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from outbranching import (
@@ -15,7 +16,13 @@ from outbranching import (
     underlying_graph,
     validate_out_tree,
 )
-from outbranching.treedp import dp_longest_path, dp_max_internal_outtree, dp_max_leaves
+from outbranching.treedp import (
+    _execute,
+    _TreeEngine,
+    dp_longest_path,
+    dp_max_internal_outtree,
+    dp_max_leaves,
+)
 from outbranching.treewidth import (
     decomposition_from_ordering,
     exact_treewidth_small,
@@ -84,6 +91,12 @@ def test_max_internal_known_values():
     internal, tree = dp_max_internal_outtree(path, 0)
     assert internal == 3 and tree.size == 4
 
+    internal, tree = dp_max_internal_outtree(path, 0, size_cap=3)
+    assert internal == 2 and tree.size == 3
+
+    internal, tree = dp_max_internal_outtree(path, 0, size_cap=1)
+    assert internal == 0 and tree.vertex_set == {0}
+
     # a sink root has only the one-vertex tree
     internal, tree = dp_max_internal_outtree(path, 3)
     assert internal == 0 and tree.vertex_set == {3}
@@ -98,11 +111,35 @@ def test_max_internal_star():
 def test_max_internal_matches_tree_oracle():
     for d in random_corpus(35, seed=113, n_lo=3, n_hi=6, density=2.0):
         for r in sorted(d.vertices):
-            want = brute_max_internal_tree(d, r, max_size=d.n)
-            got, tree = dp_max_internal_outtree(d, r)
-            assert got == want, (d.arcs, r, got, want)
-            validate_out_tree(d, tree)
-            assert tree.root == r and len(tree.internal_vertices()) == got
+            for cap in (1, 2, None):
+                want = brute_max_internal_tree(d, r, max_size=cap or d.n)
+                got, tree = dp_max_internal_outtree(d, r, size_cap=cap)
+                assert got == want, (d.arcs, r, cap, got, want)
+                validate_out_tree(d, tree)
+                assert tree.root == r and len(tree.internal_vertices()) == got
+                assert tree.size <= (cap or d.n)
+
+
+def test_size_cap_keeps_tables_polynomial_in_the_bag_width():
+    # min-fill puts all n vertices of a complete digraph in one bag; with
+    # at most 3 tree vertices a table keeps a few hundred states, against
+    # about 290 000 uncapped
+    n = 8
+    d = Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    top = _execute(d, None, _TreeEngine(d, 0, spanning=False, size_cap=3))
+    most, stack = 0, [top]
+    while stack:
+        step = stack.pop()
+        most = max(most, len(step.table))
+        stack += step.prev
+    assert most <= 2 * n ** 3
+    internal, tree = dp_max_internal_outtree(d, 0, size_cap=3)
+    assert internal == 2 and tree.size == 3
+
+
+def test_size_cap_must_be_positive():
+    with pytest.raises(ValueError):
+        dp_max_internal_outtree(Digraph.of(2, [(0, 1)]), 0, size_cap=0)
 
 
 def test_max_internal_spanning_agrees_with_branching_oracle():
@@ -172,21 +209,22 @@ def test_max_leaves_denser_corpus():
 
 @st.composite
 def dp_cases(draw):
-    """A digraph on at most 7 vertices, a root and an elimination order;
-    random orders give join bags of many shapes."""
+    """A digraph on at most 7 vertices, a root, a size cap and an
+    elimination order; random orders give join bags of many shapes."""
     n = draw(st.integers(1, 7))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1,
                          max_size=min(3 * n, len(pairs)))) if pairs else []
     root = draw(st.integers(0, n - 1))
+    cap = draw(st.integers(1, n))
     order = draw(st.permutations(range(n)))
-    return Digraph.of(n, arcs), root, order
+    return Digraph.of(n, arcs), root, cap, order
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(dp_cases())
 def test_dps_match_oracles_on_random_decompositions(case):
-    d, root, order = case
+    d, root, cap, order = case
     nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
 
     want = brute_max_leaves(d, root)
@@ -202,6 +240,12 @@ def test_dps_match_oracles_on_random_decompositions(case):
     assert internal == brute_max_internal_tree(d, root, max_size=d.n)
     validate_out_tree(d, tree)
     assert tree.root == root
+    assert len(tree.internal_vertices()) == internal
+
+    internal, tree = dp_max_internal_outtree(d, root, nice, size_cap=cap)
+    assert internal == brute_max_internal_tree(d, root, max_size=cap)
+    validate_out_tree(d, tree)
+    assert tree.root == root and tree.size <= cap
     assert len(tree.internal_vertices()) == internal
 
     length, path = dp_longest_path(d, nice)
