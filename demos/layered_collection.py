@@ -27,17 +27,17 @@ def main():
           f"internal vertices")
     print(f"witness size cap: {witness_size_cap(k)} vertices")
 
-    plan = build_partitions(underlying_graph(d), root, k)
-    print(f"\nBFS layers from {root} grouped into {len(plan.parts)} parts "
-          f"(spacing {plan.spacing}):")
-    for i, part in enumerate(plan.parts):
+    parts = build_partitions(underlying_graph(d), root, k)
+    print(f"\nBFS layers from {root} grouped into {len(parts)} parts, "
+          f"layer i in part i mod {len(parts)}:")
+    for i, part in enumerate(parts):
         print(f"  part {i}: {sorted(part)}")
 
-    subs = list(generate_collection(d, k, plan))
+    subs = list(generate_collection(d, root, k, parts))
     zcap = ceil_sqrt(4 * k)
     print(f"\nsub-instances generated: {len(subs)}, each deleting one part "
           f"except a kept set Z with |Z| <= {zcap}")
-    sizes = sorted(sub.digraph.n for sub in subs)
+    sizes = sorted(sub.n for _, _, sub in subs)
     print(f"sub-instance vertex counts range {sizes[0]}..{sizes[-1]} "
           f"(original n = {d.n})")
 

@@ -58,9 +58,8 @@ from .leaf_pipeline import (
     solve_lob,
 )
 from .internal_pipeline import (
-    LayerPartition,
-    SubInstance,
     build_partitions,
+    collection_size,
     generate_collection,
     expand_minimal_tree,
     solve_iob,

@@ -19,7 +19,7 @@ import time
 
 from .errors import BudgetError, RootDisconnected
 from .digraph import underlying_graph
-from .leaf_pipeline import GuaranteedYes, Reduced, reduce_lob, solve_lob
+from .leaf_pipeline import GuaranteedYes, reduce_lob, solve_lob
 from .internal_pipeline import solve_iob
 from .ballcover import solve_kpath_ballcover
 from .generators import GeneratorSpec, generate
@@ -59,7 +59,6 @@ def analyze(digraph, root, k):
     if isinstance(outcome, GuaranteedYes):
         report["outcome"] = f"guaranteed_yes:{outcome.reason}"
         return report
-    assert isinstance(outcome, Reduced)
     report["outcome"] = "reduced"
     s = outcome.s_vertices
     report["s_size"] = len(s)
@@ -89,6 +88,8 @@ def _check_entry(entry):
             raise ValueError(f"missing {key!r}")
     if problem not in ("lob", "iob", "kpath"):
         raise ValueError(f"unknown problem {problem!r}")
+    if entry.get("root") is not None:
+        numbers += ("root",)
     for key in numbers:
         if isinstance(entry[key], bool) or not isinstance(entry[key], int):
             raise ValueError(f"{key!r} must be an integer, got {entry[key]!r}")
@@ -108,9 +109,10 @@ def bench(suite, budget=None):
 
     Each entry is a dict: {"spec": GeneratorSpec or kwargs dict,
     "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
-    "b": int (kpath only)}. An entry that lacks a key, names an unknown
-    problem, has a non-integer k or b, or a spec GeneratorSpec rejects
-    raises ValueError("suite entry <i>: ...") before anything runs.
+    "b": int (kpath only)}; a root may also be absent or None. An entry
+    that lacks a key, names an unknown problem, has a non-integer k, b or
+    root, or a spec GeneratorSpec rejects raises
+    ValueError("suite entry <i>: ...") before anything runs.
     Budget failures land in the row's error column and the run keeps
     going.
     """

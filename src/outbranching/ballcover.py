@@ -27,7 +27,8 @@ DEFAULT_SUBSET_BUDGET = 200000
 
 def ball(graph, center, radius):
     """Vertices within undirected distance ``radius`` of ``center``."""
-    assert radius >= 0
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     layers, _ = bfs_layers(graph, center)
     return frozenset().union(*layers[:radius + 1])
 

@@ -359,6 +359,34 @@ def witness_tree(digraph, root, parents, spanning=True):
     return tree
 
 
+def grow_breadth_first(digraph, tree):
+    """Extend an out-tree of the digraph to a spanning one, breadth-first.
+
+    The first frontier is the tree's vertices, sorted; each frontier
+    vertex in turn adopts its uncovered out-neighbours in sorted order,
+    and they form the next frontier, sorted again.  Every arc of the tree
+    is kept.  Raises ValueError when some vertex is unreachable from the
+    tree; the grown tree is validated as a spanning witness.
+    """
+    parents = dict(tree.parents)
+    covered = set(tree.vertex_set)
+    frontier = sorted(covered)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in sorted(digraph.out_neighbors(u)):
+                if w not in covered:
+                    covered.add(w)
+                    parents[w] = u
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    missing = digraph.vertices - covered
+    if missing:
+        raise ValueError(
+            f"vertices {sorted(missing)} are unreachable from the tree")
+    return witness_tree(digraph, tree.root, parents)
+
+
 def parse_instance(text):
     """Parse the plain instance format.
 

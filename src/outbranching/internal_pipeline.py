@@ -12,20 +12,25 @@ digraph is reachable from r.  So the solver hunts for a small witness
 tree.
 
 To keep the dynamic program cheap on layered inputs, the vertex set is
-split by breadth-first depth into ceil(sqrt(k))+1 interleaved classes.
-A witness tree is small, so it meets some class in at most
-ceil(2*sqrt(k)) vertices; deleting the rest of that class leaves a
-shallow digraph that still contains the witness.  The solver enumerates
-every (class, kept-subset) choice and runs the internal-DP on each
-residual digraph, capped at the witness size when the digraph is larger.
-The cap loses no answer and keeps the DP polynomial in the bag width.
+split by breadth-first depth into ceil(sqrt(k))+1 interleaved classes,
+the parts: build_partitions returns them as a tuple, or () when the
+digraph is shallow enough to solve in one piece.  A witness tree is
+small, so it meets some part in at most ceil(2*sqrt(k)) vertices;
+deleting the rest of that part leaves a shallow digraph that still
+contains the witness.  One loop over the parts fixes, per part, which
+vertices may be kept and how many; collection_size counts those
+(part, kept-subset) choices in closed form and generate_collection
+yields each as (part_index, kept, sub_digraph).  The solver runs the
+internal-DP on each sub-digraph, capped at the witness size when the
+sub-digraph is larger.  The cap loses no answer and keeps the DP
+polynomial in the bag width.
 """
 
 import math
 from itertools import combinations
 
-from .digraph import (SearchResult, bfs_layers, underlying_graph,
-                      validate_out_tree, witness_tree)
+from .digraph import (SearchResult, bfs_layers, grow_breadth_first,
+                      underlying_graph, validate_out_tree)
 from .connectivity import reachable
 from .errors import BudgetError, DPInvariantError
 from .treedp import dp_max_internal_outtree
@@ -35,7 +40,6 @@ DEFAULT_COLLECTION_BUDGET = 200000
 
 def ceil_sqrt(n):
     """Smallest integer whose square is >= n."""
-    assert n >= 0
     if n == 0:
         return 0
     return math.isqrt(n - 1) + 1
@@ -48,110 +52,74 @@ def witness_size_cap(k):
     child has at most k-1 leaves, so at most 2k-1 vertices.  For k = 1
     the witness is a root plus one child, which is 2 vertices, not 1.
     """
-    assert k >= 1
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     return max(2, 2 * k - 1)
-
-
-class SingleInstance:
-    """Marker: the digraph is shallow enough to solve in one piece."""
-
-    __slots__ = ("root", "depth")
-    size = 1
-
-    def __init__(self, root, depth):
-        self.root = root
-        self.depth = depth
-
-
-class LayerPartition:
-    """Interleaved depth classes; size counts the plan's sub-instances."""
-
-    __slots__ = ("root", "parts", "spacing", "size")
-
-    def __init__(self, root, layers, parts, spacing, k):
-        assert spacing >= 2
-        self.root = root
-        self.parts = parts
-        self.spacing = spacing
-        zcap = ceil_sqrt(4 * k)
-        self.size = 0
-        seen = set()
-        for part in parts:
-            assert not (part & seen)
-            seen |= part
-            if root in part:
-                pool = len(part) - 1
-                room = zcap - 1
-            else:
-                pool = len(part)
-                room = zcap
-            self.size += sum(math.comb(pool, j)
-                             for j in range(min(pool, room) + 1))
-        assert seen == frozenset().union(*layers)
-
-
-class SubInstance:
-    """One residual digraph from the layered collection."""
-
-    __slots__ = ("digraph", "root", "k", "part_index", "kept")
-
-    def __init__(self, digraph, root, k, part_index, kept):
-        self.digraph = digraph
-        self.root = root
-        self.k = k
-        self.part_index = part_index
-        self.kept = frozenset(kept)
-        assert root in digraph.vertices
-        if part_index is not None:
-            assert len(self.kept) <= ceil_sqrt(4 * k)
-            assert self.kept <= digraph.vertices
 
 
 def build_partitions(graph, root, k):
     """Split an undirected graph into interleaved depth classes.
 
-    Requires every vertex reachable from root.  Returns SingleInstance
-    when the BFS depth is at most ceil(sqrt(k)); otherwise a
-    LayerPartition whose parts collect the layers of each residue class
-    modulo ceil(sqrt(k))+1.
+    Returns () when the BFS depth from root is at most ceil(sqrt(k)): the
+    digraph is solved in one piece.  Otherwise returns ceil(sqrt(k))+1
+    parts, part q holding the layers whose depth is q modulo
+    ceil(sqrt(k))+1.  Raises ValueError for k < 1 or for a root that does
+    not reach every vertex.
     """
-    assert k >= 1
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     layers, stranded = bfs_layers(graph, root)
-    assert not stranded, "build_partitions needs a connected input"
-    depth = len(layers) - 1
-    limit = ceil_sqrt(k)
-    if depth <= limit:
-        return SingleInstance(root, depth)
-    spacing = limit + 1
-    parts = []
-    for q in range(spacing):
-        block = frozenset().union(*layers[q::spacing])
-        parts.append(block)
-    return LayerPartition(root, layers, parts, spacing, k)
+    if stranded:
+        raise ValueError(
+            f"vertices {sorted(stranded)} are unreachable from {root}")
+    spacing = ceil_sqrt(k) + 1
+    if len(layers) <= spacing:
+        return ()
+    return tuple(frozenset().union(*layers[q::spacing])
+                 for q in range(spacing))
 
 
-def generate_collection(digraph, k, plan, budget=DEFAULT_COLLECTION_BUDGET):
-    """Yield every sub-instance of a build_partitions plan, lazily.
-
-    The plan's closed-form size is checked before anything is built;
-    past the budget a BudgetError is raised instead of truncating.
-    """
-    root = plan.root
-    if isinstance(plan, SingleInstance):
-        yield SubInstance(digraph, root, k, None, frozenset())
-        return
-    if budget is not None and plan.size > budget:
-        raise BudgetError("layered collection", plan.size, budget)
+def _choices(parts, root, k):
+    """(index, part, base, pool, room) per part: a sub-instance deletes
+    the part except a kept set, base plus at most room vertices of the
+    sorted pool.  The root is always kept; at most ceil(2*sqrt(k))
+    vertices are."""
     zcap = ceil_sqrt(4 * k)
-    for a, part in enumerate(plan.parts):
-        pool = sorted(part - {root})
-        base = frozenset({root}) if root in part else frozenset()
-        room = zcap - len(base)
-        for size in range(min(len(pool), room) + 1):
-            for combo in combinations(pool, size):
-                z = base | frozenset(combo)
-                keep = (digraph.vertices - part) | z
-                yield SubInstance(digraph.induced(keep), root, k, a, z)
+    for index, part in enumerate(parts):
+        base = part & {root}
+        pool = sorted(part - base)
+        yield index, part, base, pool, zcap - len(base)
+
+
+def collection_size(parts, root, k):
+    """How many sub-instances generate_collection yields for the parts."""
+    if not parts:
+        return 1
+    return sum(math.comb(len(pool), j)
+               for _, _, _, pool, room in _choices(parts, root, k)
+               for j in range(min(len(pool), room) + 1))
+
+
+def generate_collection(digraph, root, k, parts,
+                        budget=DEFAULT_COLLECTION_BUDGET):
+    """Yield (part_index, kept, sub_digraph) for every sub-instance of the
+    parts, lazily; () yields (None, frozenset(), digraph) alone.
+
+    The closed-form size is checked before anything is built; past the
+    budget a BudgetError is raised instead of truncating.
+    """
+    if not parts:
+        yield None, frozenset(), digraph
+        return
+    size = collection_size(parts, root, k)
+    if budget is not None and size > budget:
+        raise BudgetError("layered collection", size, budget)
+    for index, part, base, pool, room in _choices(parts, root, k):
+        rest = digraph.vertices - part
+        for count in range(min(len(pool), room) + 1):
+            for combo in combinations(pool, count):
+                kept = base.union(combo)
+                yield index, kept, digraph.induced(rest | kept)
 
 
 def expand_minimal_tree(digraph, root, tree):
@@ -168,25 +136,12 @@ def expand_minimal_tree(digraph, root, tree):
     validate_out_tree(digraph, tree)
     if tree.root != root:
         raise ValueError(f"tree is rooted at {tree.root}, not {root}")
-    parents = dict(tree.parents)
-    covered = set(tree.vertex_set)
-    before = len(tree.internal_vertices())
-    queue = sorted(covered)
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in sorted(digraph.out_neighbors(u)):
-                if w not in covered:
-                    covered.add(w)
-                    parents[w] = u
-                    nxt.append(w)
-        queue = nxt
-    if covered != digraph.vertices:
+    grown = grow_breadth_first(digraph, tree)
+    if grown.vertex_set != digraph.vertices:
         raise DPInvariantError("breadth-first growth left vertices uncovered")
-    grown = witness_tree(digraph, root, parents)
     if not tree.arcs() <= grown.arcs():
         raise DPInvariantError("the grown tree lost an arc of the witness")
-    if len(grown.internal_vertices()) < before:
+    if len(grown.internal_vertices()) < len(tree.internal_vertices()):
         raise DPInvariantError("the grown tree lost an internal vertex")
     return grown
 
@@ -212,26 +167,27 @@ def _solve_one_root(digraph, k, root, budget):
     if k > digraph.n - 1:
         report["outcome"] = "infeasible_k"
         return report, None
-    plan = build_partitions(underlying_graph(digraph), root, k)
-    report["collection_size"] = plan.size
+    parts = build_partitions(underlying_graph(digraph), root, k)
+    report["collection_size"] = collection_size(parts, root, k)
     cap = witness_size_cap(k)
     cache = {}
-    for sub in generate_collection(digraph, k, plan, budget):
-        if sub.digraph.n < k + 1:
+    for index, kept, sub in generate_collection(digraph, root, k, parts,
+                                                budget):
+        if sub.n < k + 1:
             report["skipped_small"] += 1
             continue
-        key = sub.digraph.vertices
+        key = sub.vertices
         if key in cache:
             report["cache_hits"] += 1
             best = cache[key]
         else:
             report["evaluated"] += 1
             best = dp_max_internal_outtree(
-                sub.digraph, root, size_cap=cap if cap < sub.digraph.n else None)
+                sub, root, size_cap=cap if cap < sub.n else None)
             cache[key] = best
         if best[0] >= k:
             report["outcome"] = "witness_tree"
-            report["hit"] = (sub.part_index, tuple(sorted(sub.kept)))
+            report["hit"] = (index, tuple(sorted(kept)))
             return report, best[1]
     return report, None
 

@@ -42,6 +42,7 @@ from .digraph import (
     OutTree,
     SearchResult,
     contract_arc_directed,
+    grow_breadth_first,
     underlying_graph,
     witness_tree,
 )
@@ -142,29 +143,16 @@ def _contract_stranding_arcs(digraph, root, idom):
         if not arcs:
             return current, steps, idom
         arc = min(arcs)
-        assert arc[1] != root, "arcs into the root never disconnect anything"
         steps.append((current, arc))
         current = contract_arc_directed(current, arc)
         _contract_tree(idom, arc)
 
 
 def bfs_branching(digraph, root):
-    """Deterministic breadth first spanning branching."""
+    """Deterministic breadth first spanning branching; raises ValueError
+    unless the root reaches every vertex."""
 
-    parents = {}
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(digraph.out_neighbors(v)):
-                if w not in seen:
-                    seen.add(w)
-                    parents[w] = v
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    assert seen == digraph.vertices, "branching needs full reachability"
-    return OutTree(root, parents)
+    return grow_breadth_first(digraph, OutTree(root, {}))
 
 
 def force_cut_arcs(digraph, root, tree, forced):
@@ -220,7 +208,8 @@ def contract_pendant_arcs(digraph, pendant_arcs):
 
     touched = set()
     for x, y in pendant_arcs:
-        assert x not in touched and y not in touched, "pendant arcs must form a matching"
+        if x in touched or y in touched:
+            raise ValueError("pendant arcs must form a matching")
         touched.update((x, y))
     current = digraph
     for arc in sorted(pendant_arcs):
@@ -268,8 +257,9 @@ def reduce_lob(digraph, root, k):
     report.dup_n = dup.n
     report.dup_m = dup.m
     two_connected = contract_pendant_arcs(dup, profile.pendant_arcs)
-    assert is_rooted_2connected(two_connected, root), (
-        "analysis needs a rooted 2-connected digraph")
+    # the counting shortcuts below are only sound on this graph
+    if not is_rooted_2connected(two_connected, root):
+        raise DPInvariantError("the reduction left no rooted 2-connected digraph")
 
     # The counting bounds assume the root has no incoming arcs, and
     # dropping them never changes which branchings exist, so alpha
@@ -295,7 +285,6 @@ def reduce_lob(digraph, root, k):
 
     boundary = high | nice
     report.boundary_size = len(boundary)
-    assert len(boundary) < (HIGH_INDEGREE_FACTOR + NICE_FACTOR) * k_eff
 
     # Each boundary vertex stands for itself plus the head of the pendant
     # arc it absorbed, if any: the pendant arcs form a matching and the
@@ -303,7 +292,6 @@ def reduce_lob(digraph, root, k):
     absorbed = {y for x, y in profile.pendant_arcs if x in boundary}
     selected = frozenset((boundary | absorbed) & reduced.vertices)
     report.selected_size = len(selected)
-    assert len(selected) <= 2 * len(boundary)
 
     report.outcome = "reduced"
     return Reduced(root, k, reduced, steps, selected, report)
@@ -361,7 +349,8 @@ def _dp_witness(outcome):
         return None, None
     nice = make_nice(td)
     answer = dp_max_leaves(outcome.digraph, outcome.root, nice)
-    assert answer is not None, "a reduced instance is always fully reachable"
+    if answer is None:
+        raise DPInvariantError("a guaranteed instance is not fully reachable")
     return answer
 
 
@@ -421,7 +410,8 @@ def solve_lob(digraph, k, root=None, witness=True):
                 _check_leaves(digraph, tree, k)
             return SearchResult(True, k, r, tree, reports)
         answer = dp_max_leaves(outcome.digraph, r)
-        assert answer is not None
+        if answer is None:
+            raise DPInvariantError("a reduced instance is not fully reachable")
         count, tree = answer
         if count >= k:
             final = None

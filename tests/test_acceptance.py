@@ -22,7 +22,6 @@ from outbranching.ballcover import solve_kpath_ballcover
 from outbranching.connectivity import cut_profile
 from outbranching.generators import GeneratorSpec, generate, grid_spec
 from outbranching.internal_pipeline import (
-    SingleInstance,
     build_partitions,
     ceil_sqrt,
     generate_collection,
@@ -243,18 +242,18 @@ def test_criterion_6_layered_covering():
                             break
                     if witness is None:
                         continue
-                    plan = build_partitions(underlying_graph(d), 0, k)
-                    if isinstance(plan, SingleInstance):
+                    parts = build_partitions(underlying_graph(d), 0, k)
+                    if not parts:
                         single += 1
                         continue
-                    assert len(plan.parts) == ceil_sqrt(k) + 1
+                    assert len(parts) == ceil_sqrt(k) + 1
                     zcap = ceil_sqrt(4 * k)
                     hit = False
-                    for sub in generate_collection(d, k, plan):
-                        assert len(sub.kept) <= zcap
-                        if len(sub.kept) == zcap:
+                    for _, kept, sub in generate_collection(d, 0, k, parts):
+                        assert len(kept) <= zcap
+                        if len(kept) == zcap:
                             bound_reached = True
-                        if witness.vertex_set <= sub.digraph.vertices:
+                        if witness.vertex_set <= sub.vertices:
                             hit = True
                     if hit:
                         covered += 1

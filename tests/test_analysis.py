@@ -7,10 +7,7 @@ from outbranching.analysis import (
     rows_to_csv,
 )
 from outbranching.generators import GeneratorSpec, generate, grid_spec
-from outbranching.internal_pipeline import (
-    SingleInstance,
-    build_partitions,
-)
+from outbranching.internal_pipeline import build_partitions, collection_size
 from outbranching.digraph import underlying_graph
 
 
@@ -98,8 +95,8 @@ def test_bench_rows_and_collection_size():
 
     iob_row = rows[1]
     d = generate(GeneratorSpec(**spec))
-    plan = build_partitions(underlying_graph(d), 0, 3)
-    assert iob_row["collection_size"] == plan.size
+    parts = build_partitions(underlying_graph(d), 0, 3)
+    assert iob_row["collection_size"] == collection_size(parts, 0, 3)
 
 
 def test_bench_budget_error_is_a_row():

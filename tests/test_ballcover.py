@@ -17,6 +17,8 @@ def test_ball_basics():
     assert ball(g, 1, 1) == {0, 1, 2}
     assert ball(g, 0, 1) == {0, 1}
     assert ball(g, 0, 99) == {0, 1, 2}
+    with pytest.raises(ValueError):
+        ball(g, 0, -1)
 
 
 def test_ball_stops_at_component():

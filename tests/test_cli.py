@@ -266,6 +266,10 @@ GRID = {"family": "grid", "rows": 2, "cols": 2}
     ({"spec": [2, 2], "problem": "lob", "k": 1}, r"'spec' is not an object"),
     ({"spec": dict(GRID, rows=0), "problem": "lob", "k": 1},
      r"grid needs rows >= 1 and cols >= 1, got 0x2"),
+    ({"spec": GRID, "problem": "lob", "k": 1, "root": True},
+     r"'root' must be an integer, got True"),
+    ({"spec": GRID, "problem": "iob", "k": 1, "root": "0"},
+     r"'root' must be an integer, got '0'"),
 ])
 def test_bench_suite_bad_entry_exit_two(capsys, tmp_path, monkeypatch, entry, message):
     def no_generate(spec):

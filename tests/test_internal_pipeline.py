@@ -14,10 +14,9 @@ from outbranching import (
 )
 from outbranching import internal_pipeline
 from outbranching.internal_pipeline import (
-    LayerPartition,
-    SingleInstance,
     build_partitions,
     ceil_sqrt,
+    collection_size,
     expand_minimal_tree,
     generate_collection,
     solve_iob,
@@ -45,6 +44,15 @@ def test_witness_size_cap_values():
     assert witness_size_cap(5) == 9
 
 
+def test_bad_k_and_root_raise_value_error():
+    with pytest.raises(ValueError):
+        witness_size_cap(0)
+    with pytest.raises(ValueError):
+        build_partitions(underlying_graph(bidirected_chain(3)), 0, 0)
+    with pytest.raises(ValueError):
+        build_partitions(underlying_graph(Digraph.of(3, [(0, 1)])), 0, 1)
+
+
 def test_solve_path_and_star():
     path = Digraph.of(3, [(0, 1), (1, 2)])
     res = solve_iob(path, 2, root=0)
@@ -57,21 +65,17 @@ def test_solve_path_and_star():
 
 def test_partition_layout_spacing_three():
     chain = bidirected_chain(8)
-    plan = build_partitions(underlying_graph(chain), 0, 4)
-    assert isinstance(plan, LayerPartition)
-    assert plan.spacing == 3
-    assert [sorted(p) for p in plan.parts] == [[0, 3, 6], [1, 4, 7], [2, 5]]
+    parts = build_partitions(underlying_graph(chain), 0, 4)
+    assert [sorted(p) for p in parts] == [[0, 3, 6], [1, 4, 7], [2, 5]]
 
 
 def test_shallow_graph_is_single_instance():
     chain = bidirected_chain(3)
-    plan = build_partitions(underlying_graph(chain), 0, 4)
-    assert isinstance(plan, SingleInstance)
-    assert plan.depth == 2
-    subs = list(generate_collection(chain, 4, plan))
-    assert len(subs) == 1
-    assert subs[0].digraph.vertices == chain.vertices
-    assert subs[0].part_index is None
+    parts = build_partitions(underlying_graph(chain), 0, 4)
+    assert parts == ()
+    assert collection_size(parts, 0, 4) == 1
+    subs = list(generate_collection(chain, 0, 4, parts))
+    assert subs == [(None, frozenset(), chain)]
 
 
 def test_parts_partition_vertex_set():
@@ -79,12 +83,12 @@ def test_parts_partition_vertex_set():
         for r in sorted(d.vertices):
             if reachable(d, r) != d.vertices:
                 continue
-            plan = build_partitions(underlying_graph(d), r, 2)
-            if isinstance(plan, SingleInstance):
+            parts = build_partitions(underlying_graph(d), r, 2)
+            if not parts:
                 continue
-            assert len(plan.parts) == ceil_sqrt(2) + 1
-            union = frozenset().union(*plan.parts)
-            assert union == d.vertices
+            assert len(parts) == ceil_sqrt(2) + 1
+            assert sum(len(p) for p in parts) == d.n
+            assert frozenset().union(*parts) == d.vertices
 
 
 def test_collection_count_matches_closed_form():
@@ -94,9 +98,9 @@ def test_collection_count_matches_closed_form():
             if reachable(d, r) != d.vertices:
                 continue
             for k in (2, 3, 5):
-                plan = build_partitions(underlying_graph(d), r, k)
-                want = plan.size
-                got = sum(1 for _ in generate_collection(d, k, plan))
+                parts = build_partitions(underlying_graph(d), r, k)
+                want = collection_size(parts, r, k)
+                got = sum(1 for _ in generate_collection(d, r, k, parts))
                 assert got == want
                 checked += 1
     assert checked >= 20
@@ -105,19 +109,19 @@ def test_collection_count_matches_closed_form():
 def test_subset_bound_and_root_membership():
     chain = bidirected_chain(9)
     zcap = ceil_sqrt(4 * 2)
-    plan = build_partitions(underlying_graph(chain), 0, 2)
-    for sub in generate_collection(chain, 2, plan):
-        assert len(sub.kept) <= zcap
-        assert 0 in sub.digraph.vertices
-        part = plan.parts[sub.part_index]
-        assert sub.kept <= part
-        assert sub.digraph.vertices == (chain.vertices - part) | sub.kept
+    parts = build_partitions(underlying_graph(chain), 0, 2)
+    for index, kept, sub in generate_collection(chain, 0, 2, parts):
+        assert len(kept) <= zcap
+        assert 0 in sub.vertices
+        part = parts[index]
+        assert kept <= part
+        assert sub.vertices == (chain.vertices - part) | kept
 
 
 def test_budget_error_before_any_yield():
     chain = bidirected_chain(20)
-    plan = build_partitions(underlying_graph(chain), 0, 2)
-    gen = generate_collection(chain, 2, plan, budget=5)
+    parts = build_partitions(underlying_graph(chain), 0, 2)
+    gen = generate_collection(chain, 0, 2, parts, budget=5)
     with pytest.raises(BudgetError):
         next(gen)
     with pytest.raises(BudgetError):
@@ -150,9 +154,8 @@ def test_expand_rejects_a_growth_that_loses_witness_arcs(monkeypatch):
     # a growth step that rebuilds the tree as a star drops the witness arc
     # (1, 2); the check must raise, also under python -O
     d = Digraph.of(3, [(0, 1), (1, 2), (0, 2)])
-    build = internal_pipeline.witness_tree
-    monkeypatch.setattr(internal_pipeline, "witness_tree",
-                        lambda g, r, parents: build(g, r, {1: r, 2: r}))
+    monkeypatch.setattr(internal_pipeline, "grow_breadth_first",
+                        lambda g, tree: OutTree(tree.root, {1: 0, 2: 0}))
     with pytest.raises(DPInvariantError):
         expand_minimal_tree(d, 0, OutTree(0, {1: 0, 2: 1}))
 
@@ -266,8 +269,8 @@ def test_covering_keeps_some_witness_tree():
             if reachable(d, r) != d.vertices:
                 continue
             k = 2
-            plan = build_partitions(underlying_graph(d), r, k)
-            if isinstance(plan, SingleInstance):
+            parts = build_partitions(underlying_graph(d), r, k)
+            if not parts:
                 continue
             cap = witness_size_cap(k)
             witnesses = [t for t in enum_out_trees(d, r, cap)
@@ -275,8 +278,8 @@ def test_covering_keeps_some_witness_tree():
             if not witnesses:
                 continue
             tree = witnesses[0]
-            hits = [s for s in generate_collection(d, k, plan)
-                    if tree.vertex_set <= s.digraph.vertices]
+            hits = [kept for _, kept, sub in generate_collection(d, r, k, parts)
+                    if tree.vertex_set <= sub.vertices]
             assert hits, (d.arcs, r, sorted(tree.vertex_set))
             covered_checks += 1
     assert covered_checks >= 10

@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 
 from outbranching import (
     Digraph,
+    DPInvariantError,
     RootDisconnected,
     brute_max_leaves,
     is_rooted_2connected,
@@ -27,7 +29,8 @@ from outbranching.leaf_pipeline import (
 )
 from outbranching import leaf_pipeline
 from outbranching.connectivity import _idoms, cut_profile
-from outbranching.treewidth import treewidth_upper_bound
+from outbranching.treedp import dp_max_leaves
+from outbranching.treewidth import greedy_decomposition, treewidth_upper_bound
 from helpers import grid_digraph, labelled_digraphs, random_corpus
 
 
@@ -183,6 +186,63 @@ def test_guaranteed_by_nice_vertices_on_petal_instance():
     res = solve_lob(d, 1, root=0)
     assert res.satisfiable
     assert res.witness is not None
+
+
+def shortcut_corpus(count, seed):
+    """Digraphs on 7-13 vertices that vertex 0 spans, min-fill width <= 5:
+    half orient each edge one way (many nice vertices), half run most
+    edges both ways (many vertices of in-degree >= 3)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(7, 13)
+        both = rng.choice((0.0, 0.9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        arcs = []
+        for u, v in rng.sample(pairs, int(1.6 * n)):
+            if rng.random() < both:
+                arcs += [(u, v), (v, u)]
+            else:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        d = Digraph.of(n, arcs)
+        if (reachable(d, 0) == d.vertices
+                and greedy_decomposition(underlying_graph(d)).width <= 5):
+            out.append(d)
+    return out
+
+
+def test_counting_shortcuts_match_the_whole_graph_dp():
+    # past n = 7 the high in-degree shortcut fires; the exact DP on the
+    # whole digraph checks every verdict up to one past the optimum
+    counted = 0
+    for d in shortcut_corpus(150, seed=241):
+        best = dp_max_leaves(d, 0)[0]
+        for k in range(1, best + 2):
+            res = solve_lob(d, k, root=0, witness=False)
+            assert res.satisfiable == (best >= k), (d.arcs, k)
+            counted += any(rep.reason in ("high_indegree_count",
+                                          "nice_vertex_count")
+                           for rep in res.reports)
+    assert counted >= 20
+
+
+def test_reduction_without_rooted_2connectivity_raises(monkeypatch):
+    # the counting shortcuts are only sound on a rooted 2-connected graph
+    d = Digraph.of(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    monkeypatch.setattr(leaf_pipeline, "is_rooted_2connected",
+                        lambda digraph, root: False)
+    with pytest.raises(DPInvariantError):
+        reduce_lob(d, 0, 2)
+    with pytest.raises(DPInvariantError):
+        solve_lob(d, 2, root=0)
+
+
+def test_bad_caller_input_raises_value_error():
+    with pytest.raises(ValueError):
+        bfs_branching(Digraph.of(3, [(0, 1)]), 0)
+    path = Digraph.of(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        contract_pendant_arcs(path, {(0, 1), (1, 2)})
 
 
 def test_pendant_contraction_reaches_rooted_2connected():

@@ -1,11 +1,12 @@
 """The solver property tests and the incremental-reduction tests again,
-under python -O.
+under python -O, and a check that the package holds no assert at all.
 
 -O strips every assert from the package, so a check that guards a
 returned answer only holds there if it raises a real exception.
 pytest still rewrites the asserts of the test modules themselves.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,7 +20,22 @@ TESTS = (
     "test_digraph.py::test_contraction_matches_a_fresh_digraph",
     "test_cli.py::test_witness_fault_exit_five",
     "test_internal_pipeline.py::test_expand_rejects_a_growth_that_loses_witness_arcs",
+    "test_leaf_pipeline.py::test_reduction_without_rooted_2connectivity_raises",
 )
+
+
+def test_package_source_has_no_assert():
+    package = os.path.join(ROOT, "src", "outbranching")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(package, name)
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_solver_properties_pass_under_optimize():
