@@ -94,14 +94,19 @@ def _check_entry(entry):
         if isinstance(entry[key], bool) or not isinstance(entry[key], int):
             raise ValueError(f"{key!r} must be an integer, got {entry[key]!r}")
     spec = entry["spec"]
-    if isinstance(spec, GeneratorSpec):
-        return spec
-    if not isinstance(spec, dict):
-        raise ValueError("'spec' is not an object")
-    try:
-        return GeneratorSpec(**spec)
-    except TypeError as exc:
-        raise ValueError(f"bad 'spec': {exc}") from None
+    if not isinstance(spec, GeneratorSpec):
+        if not isinstance(spec, dict):
+            raise ValueError("'spec' is not an object")
+        try:
+            spec = GeneratorSpec(**spec)
+        except TypeError as exc:
+            raise ValueError(f"bad 'spec': {exc}") from None
+    # generate numbers the vertices 0..n-1
+    n = spec.rows * spec.cols if spec.family == "grid" else spec.n
+    root = entry.get("root")
+    if root is not None and not 0 <= root < n:
+        raise ValueError(f"root {root} not in the generated digraph's vertices 0..{n - 1}")
+    return spec
 
 
 def bench(suite, budget=None):
@@ -111,8 +116,8 @@ def bench(suite, budget=None):
     "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
     "b": int (kpath only)}; a root may also be absent or None. An entry
     that lacks a key, names an unknown problem, has a non-integer k, b or
-    root, or a spec GeneratorSpec rejects raises
-    ValueError("suite entry <i>: ...") before anything runs.
+    root or a root outside the generated digraph, or a spec GeneratorSpec
+    rejects raises ValueError("suite entry <i>: ...") before anything runs.
     Budget failures land in the row's error column and the run keeps
     going.
     """

@@ -125,14 +125,11 @@ def generate_collection(digraph, root, k, parts,
 def expand_minimal_tree(digraph, root, tree):
     """Grow an r-out-tree into a spanning out-tree of the digraph.
 
-    Every vertex must be reachable from root.  Uncovered vertices are
-    attached breadth-first as children of already covered ones, so every
-    arc of the input tree survives and no internal vertex turns into a
-    leaf.
+    Every vertex must be reachable from root; grow_breadth_first raises
+    ValueError otherwise.  Uncovered vertices are attached breadth-first
+    as children of already covered ones, so every arc of the input tree
+    survives and no internal vertex turns into a leaf.
     """
-    missing = sorted(digraph.vertices - reachable(digraph, root))
-    if missing:
-        raise ValueError(f"vertices {missing} are unreachable from {root}")
     validate_out_tree(digraph, tree)
     if tree.root != root:
         raise ValueError(f"tree is rooted at {tree.root}, not {root}")

@@ -1,30 +1,34 @@
 """Dynamic programs over nice tree decompositions of the underlying graph.
 
-Three optimizations share the bag-state machinery: maximum-leaf spanning
-branchings, maximum-internal out-trees (optionally under a size cap),
-and longest directed paths.  Each underlying undirected edge of the host
-digraph is handled at exactly one op of the nice decomposition (the
-first op in its list whose bag contains both endpoints), so an arc can
-never be committed twice and an in-degree violation shows up as a dead
-state instead of a silent double count.
+One engine, _TreeEngine, solves three optimizations: maximum-leaf
+spanning branchings, maximum-internal out-trees (optionally under a size
+cap), and longest directed paths, which are the rootless out-trees in
+which no vertex has two children.  Each underlying undirected edge of
+the host digraph is handled at exactly one op of the nice decomposition
+(the first op in its list whose bag contains both endpoints), so an arc
+can never be committed twice and an in-degree violation shows up as a
+dead state instead of a silent double count.
 
 A state records how a partial solution meets the current bag: a partition
 of the in-bag solution vertices into connected fragments plus per-vertex
 connection flags.  A fragment that loses its last bag vertex can never
 gain another connection, so it must either be the finished solution or
 the state dies on the spot.  That single rule is what makes the final
-tables sound.
+tables sound.  On a path the flags also say which ends are sealed: a
+fragment whose in-bag vertices all have parent arcs has forgotten its
+first vertex, the only one without, and likewise for child arcs and its
+last vertex.  A join cannot give a merged fragment two sealed ends of
+one kind: the flag and cycle tests leave every merged fragment a path.
 
-Encoding: every state starts (blocks, flags, flags, status); a tree
-state also carries a size.  blocks, the partition, is a tuple with one
-entry per bag position (-1 outside the solution, else a fragment label
-numbered by first occurrence), and each kind of per-vertex flag is one
-int whose bit i belongs to bag position i.  Introduce and forget insert
-or delete a bit; a join tests two flag sets for overlap with ``&`` and
-unites them with ``|``.  The join groups each side's states by (blocks,
-status), merges the fragments once per pair of groups with the same
-in-bag mask, and only then crosses the flag ints of the two groups.
-Relabelling and merging depend on partitions alone and are memoized.
+Every state is (blocks, parent_bits, child_bits, status, size).  blocks,
+the partition, is a tuple with one entry per bag position (-1 outside
+the solution, else a fragment label numbered by first occurrence), and
+bit i of each flag int belongs to bag position i.  Introduce and forget
+insert or delete a bit; a join tests two flag sets for overlap with
+``&`` and unites them with ``|``.  The join groups each side's states by
+(blocks, status, size), merges the fragments once per pair of groups
+with the same in-bag mask, and only then crosses the flag ints of the
+two groups.  Partition updates are memoized.
 
 A broken invariant, including a witness that fails validation, raises
 DPInvariantError; none of these checks is an assert, so they also run
@@ -33,7 +37,7 @@ under ``python -O``.
 
 from __future__ import annotations
 
-import math
+import sys
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
@@ -89,9 +93,23 @@ def _relabel(blocks):
 
 @_MEMO
 def _insert(blocks, p):
-    """Canonical blocks after a new one-vertex fragment enters at position p."""
+    """(outside, inside, mapping) after a vertex enters the bag at position
+    p: outside or as a new fragment of the solution, and the label map."""
 
-    return _relabel(blocks[:p] + (max(blocks, default=-1) + 1,) + blocks[p:])
+    return (blocks[:p] + (-1,) + blocks[p:],
+            *_relabel(blocks[:p] + (max(blocks, default=-1) + 1,) + blocks[p:]))
+
+
+@_MEMO
+def _remove(blocks, p):
+    """(blocks, mapping, alone) after the vertex at position p leaves the
+    bag.  mapping renumbers the labels, None when the vertex's fragment
+    loses its last bag vertex; alone says that no fragment is left."""
+
+    rb = blocks[:p] + blocks[p + 1:]
+    if blocks[p] >= 0 and blocks[p] not in rb:
+        return rb, None, all(b < 0 for b in rb)
+    return (*_relabel(rb), False)
 
 
 @_MEMO
@@ -130,23 +148,24 @@ def _merge_fragments(lb, rb):
     return blocks, lmap, rmap
 
 
-def _group_pairs(tl, tr):
-    """Pairs of state groups that can be joined, with their merged fragments.
+def _group_pairs(tl, tr, one_child):
+    """Pairs of state groups that can be joined.
 
-    A group holds the states that share (blocks, status), each as a
-    (flags, flags, score, state) item.  Yields (n_in, lkey, litems, rkey,
-    ritems, merged) for each left and right group with the same in-bag
-    mask whose fragments merge without a cycle, where n_in counts the
-    in-bag solution vertices and merged is the _merge_fragments result of
-    the two partitions.  Any field after the status travels with the
-    state.
+    A group holds the states that share (blocks, status, size) as
+    (exclusive, parent_bits, child_bits, score, state) items; exclusive
+    holds the bits no two joined states may share: the parent bits and,
+    with one_child, the child bits shifted past them.  Yields (n_in,
+    lkey, litems, rkey, ritems, merged) for each pair of groups with one
+    in-bag mask of n_in vertices that _merge_fragments merges acyclically.
     """
 
     sides = []
     for tin in (tl, tr):
         groups = {}
         for s, score in tin.items():
-            groups.setdefault((s[0], s[3]), []).append((s[1], s[2], score, s))
+            blocks, pb, cb, rstat, size = s
+            x = pb | cb << len(blocks) if one_child else pb
+            groups.setdefault((blocks, rstat, size), []).append((x, pb, cb, score, s))
         by_mask = {}
         for key, items in groups.items():
             by_mask.setdefault(tuple(b >= 0 for b in key[0]), []).append((key, items))
@@ -165,18 +184,22 @@ def _group_pairs(tl, tr):
 
 
 class _TreeEngine:
-    """Out-tree and spanning-branching tables.
+    """Out-tree, spanning-branching and directed path tables.
 
-    State: (blocks, parent_bits, child_bits, root_status, size).  blocks
-    holds -1 for bag vertices outside the solution and a canonical
-    fragment label otherwise.  Bit i of parent_bits (child_bits) is set
-    once the vertex at bag position i has its parent arc (a child arc).
-    root_status is ABSENT before the root appears, CLOSED once the root
-    fragment is complete, and the root fragment's label in between.
+    Bit i of parent_bits (child_bits) is set once the vertex at bag
+    position i has its parent arc (a child arc).  The status is ABSENT
+    before the root appears, CLOSED once the root fragment is complete,
+    and the root fragment's label in between.
 
     spanning selects the problem: every vertex joins the solution and
     forgotten leaves score (max leaves), or vertices other than the root
     may stay outside and forgotten internal vertices score (max internal).
+
+    root=None selects a longest path, rooted at whichever vertex lacks a
+    parent arc: any solution vertex may be forgotten without one, an arc
+    needs a tail without a child, a join needs disjoint child bits, and
+    the status stays ABSENT until the one fragment closes.  The score
+    counts internal vertices, one per arc.
 
     size counts the solution vertices seen so far under a size_cap and
     stays 0 without one, so only a capped run keeps a state per size.
@@ -187,7 +210,7 @@ class _TreeEngine:
         self.root = root
         self.spanning = spanning
         self.grow = 0 if size_cap is None else 1
-        self.size_cap = math.inf if size_cap is None else size_cap
+        self.size_cap = sys.maxsize if size_cap is None else size_cap
 
     def leaf(self):
         state = ((), 0, 0, ABSENT, 0)
@@ -204,12 +227,11 @@ class _TreeEngine:
             blocks, pb, cb, rstat, size = s
             pb = (pb & low) | (pb & ~low) << 1
             cb = (cb & low) | (cb & ~low) << 1
+            ob, nb, mapping = _insert(blocks, p)
             if outside:
-                _push(table, back, (blocks[:p] + (-1,) + blocks[p:], pb, cb, rstat, size),
-                      score, s)
+                _push(table, back, (ob, pb, cb, rstat, size), score, s)
             if rstat == CLOSED or size >= cap:
                 continue
-            nb, mapping = _insert(blocks, p)
             if is_root:
                 if rstat != ABSENT:
                     raise DPInvariantError(f"root {v} introduced twice")
@@ -222,7 +244,8 @@ class _TreeEngine:
     def forget(self, tin, bag, v):
         p = bisect_left(bag, v)
         low = (1 << p) - 1
-        is_root = v == self.root
+        rooted = self.root is not None
+        needs_parent = rooted and v != self.root
         # a forgotten solution vertex scores when it is a leaf (no child
         # arc) for max leaves, and when it is internal otherwise
         flip = 1 if self.spanning else 0
@@ -230,17 +253,16 @@ class _TreeEngine:
         for s, score in tin.items():
             blocks, pb, cb, rstat, size = s
             b = blocks[p]
-            rb = blocks[:p] + blocks[p + 1:]
+            rb, mapping, alone = _remove(blocks, p)
             if b >= 0:
-                if not is_root and not pb >> p & 1:
+                if needs_parent and not pb >> p & 1:
                     continue
                 score += (cb >> p & 1) ^ flip
-                if b in rb:
-                    rb, mapping = _relabel(rb)
+                if mapping is not None:
                     if rstat >= 0:
                         rstat = mapping[rstat]
-                elif rstat == b and not any(x >= 0 for x in rb):
-                    # the root fragment lost its last bag vertex: it is finished
+                elif alone and rstat == (b if rooted else ABSENT):
+                    # the root fragment, or a path, lost its last bag vertex: it is finished
                     rstat = CLOSED
                 else:
                     continue
@@ -251,30 +273,32 @@ class _TreeEngine:
     def edge(self, tin, bag, e):
         u, w = e
         pu, pw = bag.index(u), bag.index(w)
-        cands = []
-        if self.digraph.has_arc(u, w) and w != self.root:
-            cands.append(((u, w), pu, pw))
-        if self.digraph.has_arc(w, u) and u != self.root:
-            cands.append(((w, u), pw, pu))
+        one_child = self.root is None
+        # (arc, tail pos, head pos, head bit, tail bit, tail bit that blocks)
+        cands = [((x, y), px, py, 1 << py, 1 << px, one_child << px)
+                 for x, y, px, py in ((u, w, pu, pw), (w, u, pw, pu))
+                 if self.digraph.has_arc(x, y) and y != self.root]
         # every state may leave the edge unused; back only records arcs
         table, back = dict(tin), {}
         for s, score in tin.items():
             blocks, pb, cb, rstat, size = s
-            for arc, px, py in cands:
+            for arc, px, py, ybit, xbit, xblock in cands:
                 bx, by = blocks[px], blocks[py]
-                if bx < 0 or by < 0 or bx == by or pb >> py & 1:
+                if bx < 0 or by < 0 or bx == by or pb & ybit or cb & xblock:
                     continue
                 nb, mapping = _fuse(blocks, bx, by)
                 rs2 = mapping[bx if rstat == by else rstat] if rstat >= 0 else rstat
-                st = (nb, pb | 1 << py, cb | 1 << px, rs2, size)
-                _push(table, back, st, score, (s, arc))
+                _push(table, back, (nb, pb | ybit, cb | xbit, rs2, size), score, (s, arc))
         return table, back
 
     def join(self, tl, tr):
         table, back = {}, {}
         cap, grow = self.size_cap, self.grow
-        for n_in, (lb, lr), litems, (rb, rr), ritems, merged in _group_pairs(tl, tr):
-            blocks, lmap, rmap = merged
+        for n_in, (_, lr, lsize), litems, (_, rr, rsize), ritems, (blocks, lmap, rmap) in (
+                _group_pairs(tl, tr, self.root is None)):
+            size = lsize + rsize - grow * n_in
+            if size > cap:
+                continue
             if lr == CLOSED or rr == CLOSED:
                 # a finished tree passes only beside an untouched side
                 if lr == rr or n_in or ABSENT not in (lr, rr):
@@ -286,114 +310,11 @@ class _TreeEngine:
                     if rstat >= 0 and rmap[rr] != rstat:
                         raise DPInvariantError("two root fragments met outside the bag")
                     rstat = rmap[rr]
-            shared = grow * n_in
-            for lp, lc, lscore, ls in litems:
-                for rp, rc, rscore, rs in ritems:
-                    if lp & rp:
-                        continue
-                    size = ls[4] + rs[4] - shared
-                    if size > cap:
+            for lx, lp, lc, lscore, ls in litems:
+                for rx, rp, rc, rscore, rs in ritems:
+                    if lx & rx:
                         continue
                     st = (blocks, lp | rp, lc | rc, rstat, size)
-                    score = lscore + rscore
-                    old = table.get(st)
-                    if old is None or score > old:
-                        table[st] = score
-                        back[st] = (ls, rs)
-        return table, back
-
-
-class _PathEngine:
-    """Directed path tables.
-
-    State: (blocks, in_used, out_used, closed).  A fragment is a directed
-    path; bit i of in_used (out_used) is set once the vertex at bag
-    position i has its incoming (outgoing) path arc.  closed flips once
-    the finished path has been forgotten entirely; a second completed
-    fragment kills the state.
-
-    Only a path's first vertex lacks an in arc and only its last lacks an
-    out arc, so a fragment whose in-bag vertices all have their in arcs
-    has forgotten its free in end for good, and likewise for out.  The
-    flags therefore already say which ends are sealed.  A join cannot
-    give a merged fragment two sealed ends of one kind: the flag and
-    cycle tests leave every merged fragment a directed path, which has
-    one first and one last vertex.
-    """
-
-    def __init__(self, digraph):
-        self.digraph = digraph
-
-    def leaf(self):
-        state = ((), 0, 0, 0)
-        return {state: 0}, {state: None}
-
-    def introduce(self, tin, bag, v):
-        p = bag.index(v)
-        low = (1 << p) - 1
-        table, back = {}, {}
-        for s, score in tin.items():
-            blocks, ib, ob, closed = s
-            ib = (ib & low) | (ib & ~low) << 1
-            ob = (ob & low) | (ob & ~low) << 1
-            _push(table, back, (blocks[:p] + (-1,) + blocks[p:], ib, ob, closed), score, s)
-            if closed:
-                continue
-            _push(table, back, (_insert(blocks, p)[0], ib, ob, 0), score, s)
-        return table, back
-
-    def forget(self, tin, bag, v):
-        p = bisect_left(bag, v)
-        low = (1 << p) - 1
-        table, back = {}, {}
-        for s, score in tin.items():
-            blocks, ib, ob, closed = s
-            b = blocks[p]
-            rb = blocks[:p] + blocks[p + 1:]
-            if b >= 0 and b in rb:
-                rb = _relabel(rb)[0]
-            elif b >= 0:
-                if closed or any(x >= 0 for x in rb):
-                    continue
-                # the only fragment lost its last bag vertex: the path is finished
-                closed = 1
-            st = (rb, (ib & low) | (ib >> 1 & ~low), (ob & low) | (ob >> 1 & ~low), closed)
-            _push(table, back, st, score, s)
-        return table, back
-
-    def edge(self, tin, bag, e):
-        u, w = e
-        pu, pw = bag.index(u), bag.index(w)
-        cands = []
-        if self.digraph.has_arc(u, w):
-            cands.append((pu, pw, (u, w)))
-        if self.digraph.has_arc(w, u):
-            cands.append((pw, pu, (w, u)))
-        table, back = dict(tin), {}
-        for s, score in tin.items():
-            blocks, ib, ob, closed = s
-            for px, py, arc in cands:
-                bx, by = blocks[px], blocks[py]
-                if bx < 0 or by < 0 or bx == by or ob >> px & 1 or ib >> py & 1:
-                    continue
-                st = (_fuse(blocks, bx, by)[0], ib | 1 << py, ob | 1 << px, closed)
-                _push(table, back, st, score + 1, (s, arc))
-        return table, back
-
-    def join(self, tl, tr):
-        table, back = {}, {}
-        for n_in, (lb, lclosed), litems, (rb, rclosed), ritems, merged in _group_pairs(
-                tl, tr):
-            closed = lclosed | rclosed
-            if (lclosed and rclosed) or (closed and n_in):
-                # one finished path at most, and no fragment beside it
-                continue
-            blocks = merged[0]
-            for li, lo, lscore, ls in litems:
-                for ri, ro, rscore, rs in ritems:
-                    if li & ri or lo & ro:
-                        continue
-                    st = (blocks, li | ri, lo | ro, closed)
                     score = lscore + rscore
                     old = table.get(st)
                     if old is None or score > old:
@@ -467,13 +388,16 @@ def _collect_arcs(final_step, final_state):
     return arcs
 
 
-def _witness_tree(digraph, root, arcs, spanning):
-    """The out-tree the backpointers spell out, validated against digraph."""
+def _best_closed(digraph, nice, engine):
+    """Run the engine; (score, state, arcs) for its best finished state,
+    with the arcs its backpointers spell out, or None if no state closed."""
 
-    parents = {h: t for t, h in arcs}
-    if len(parents) != len(arcs):
-        raise DPInvariantError("a vertex got two parents")
-    return witness_tree(digraph, root, parents, spanning)
+    top = _execute(digraph, nice, engine)
+    closed = [state for state in top.table if state[3] == CLOSED]
+    if not closed:
+        return None
+    best = max(closed, key=top.table.__getitem__)
+    return top.table[best], best, _collect_arcs(top, best)
 
 
 def _best_tree(digraph, root, nice, spanning, size_cap=None):
@@ -486,21 +410,20 @@ def _best_tree(digraph, root, nice, spanning, size_cap=None):
 
     if root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
-    top = _execute(digraph, nice, _TreeEngine(digraph, root, spanning, size_cap))
-    best = None
-    for state, score in top.table.items():
-        if state[3] == CLOSED and (best is None or score > top.table[best]):
-            best = state
+    best = _best_closed(digraph, nice, _TreeEngine(digraph, root, spanning, size_cap))
     if best is None:
         return None
-    score = top.table[best]
-    tree = _witness_tree(digraph, root, _collect_arcs(top, best), spanning)
+    score, state, arcs = best
+    parents = {h: t for t, h in arcs}
+    if len(parents) != len(arcs):
+        raise DPInvariantError("a vertex got two parents")
+    tree = witness_tree(digraph, root, parents, spanning)
     kind, got = (("leaves", tree.leaves()) if spanning
                  else ("internal vertices", tree.internal_vertices()))
     if len(got) != score:
         raise DPInvariantError(f"witness has {len(got)} {kind}, table says {score}")
-    if size_cap is not None and tree.size != best[4]:
-        raise DPInvariantError(f"witness has {tree.size} vertices, table says {best[4]}")
+    if size_cap is not None and tree.size != state[4]:
+        raise DPInvariantError(f"witness has {tree.size} vertices, table says {state[4]}")
     return score, tree
 
 
@@ -530,22 +453,19 @@ def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None):
 
 
 def dp_longest_path(digraph, nice=None):
-    """Longest directed path, counted in arcs.  Returns (count, vertices)."""
+    """Longest directed path, counted in arcs.  Returns (count, vertices).
+
+    Runs the rootless _TreeEngine, whose out-trees are the paths.
+    """
 
     if not digraph.vertices:
         return 0, []
-    engine = _PathEngine(digraph)
-    top = _execute(digraph, nice, engine)
-    best = None
-    for state, score in top.table.items():
-        if state[3] == 1 and (best is None or score > top.table[best]):
-            best = state
-    if best is None or top.table[best] <= 0:
-        return 0, [min(digraph.vertices)]
-    score = top.table[best]
-    arcs = _collect_arcs(top, best)
+    best = _best_closed(digraph, nice, _TreeEngine(digraph, None, spanning=False))
+    if best is None:
+        raise DPInvariantError("no one-vertex path survived")
+    score, _, arcs = best
     nxt = dict(arcs)
-    starts = set(nxt) - set(nxt.values())
+    starts = set(nxt) - set(nxt.values()) or {min(digraph.vertices)}
     if len(arcs) != score or len(nxt) != score or len(starts) != 1:
         raise DPInvariantError(f"path witness with {score} arcs is not a single chain")
     path = [starts.pop()]

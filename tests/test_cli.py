@@ -270,6 +270,8 @@ GRID = {"family": "grid", "rows": 2, "cols": 2}
      r"'root' must be an integer, got True"),
     ({"spec": GRID, "problem": "iob", "k": 1, "root": "0"},
      r"'root' must be an integer, got '0'"),
+    ({"spec": GRID, "problem": "iob", "k": 1, "root": 99},
+     r"root 99 not in the generated digraph's vertices 0\.\.3"),
 ])
 def test_bench_suite_bad_entry_exit_two(capsys, tmp_path, monkeypatch, entry, message):
     def no_generate(spec):

@@ -1,5 +1,6 @@
-"""The solver property tests and the incremental-reduction tests again,
-under python -O, and a check that the package holds no assert at all.
+"""The solver property tests, the incremental-reduction tests and the
+randomized DP test again, under python -O, and a check that the package
+holds no assert at all.
 
 -O strips every assert from the package, so a check that guards a
 returned answer only holds there if it raises a real exception.
@@ -21,6 +22,7 @@ TESTS = (
     "test_cli.py::test_witness_fault_exit_five",
     "test_internal_pipeline.py::test_expand_rejects_a_growth_that_loses_witness_arcs",
     "test_leaf_pipeline.py::test_reduction_without_rooted_2connectivity_raises",
+    "test_treedp.py::test_dps_match_oracles_on_random_decompositions",
 )
 
 
