@@ -39,7 +39,8 @@ def main():
               f"{s['dp_runs']:>8} {s['cache_hits']:>6} "
               f"{s['skipped_small']:>8}")
     print("\nthe subset count grows with b while each region (and its")
-    print("treewidth) shrinks; the region cache absorbs repeats.")
+    print("treewidth) shrinks; a region inside one whose DP fell short")
+    print("of k cannot reach k either, so it is skipped (the cache column).")
 
 
 if __name__ == "__main__":

@@ -93,6 +93,8 @@ def _check_entry(entry):
     for key in numbers:
         if isinstance(entry[key], bool) or not isinstance(entry[key], int):
             raise ValueError(f"{key!r} must be an integer, got {entry[key]!r}")
+    if entry["k"] < 1:
+        raise ValueError(f"'k' must be >= 1, got {entry['k']}")
     spec = entry["spec"]
     if not isinstance(spec, GeneratorSpec):
         if not isinstance(spec, dict):
@@ -106,6 +108,8 @@ def _check_entry(entry):
     root = entry.get("root")
     if root is not None and not 0 <= root < n:
         raise ValueError(f"root {root} not in the generated digraph's vertices 0..{n - 1}")
+    if problem == "kpath" and not 1 <= entry["b"] <= n:
+        raise ValueError(f"'b' must be in 1..{n}, got {entry['b']}")
     return spec
 
 
@@ -116,8 +120,9 @@ def bench(suite, budget=None):
     "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
     "b": int (kpath only)}; a root may also be absent or None. An entry
     that lacks a key, names an unknown problem, has a non-integer k, b or
-    root or a root outside the generated digraph, or a spec GeneratorSpec
-    rejects raises ValueError("suite entry <i>: ...") before anything runs.
+    root, a k below 1, a b outside 1..n or a root outside the generated
+    digraph, or a spec GeneratorSpec rejects raises
+    ValueError("suite entry <i>: ...") before anything runs.
     Budget failures land in the row's error column and the run keeps
     going.
     """

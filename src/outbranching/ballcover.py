@@ -8,6 +8,14 @@ k-arc path exactly when, for some b-subset of vertices, the subdigraph
 induced by the union of their balls has one; the solver enumerates every
 b-subset and runs the path DP on each induced piece.
 
+The pieces nest: when region R lies inside region F, the subdigraph
+induced by R is an induced subdigraph of the one induced by F, so every
+path in R is a path in F.  Once F's longest path falls short of k, no
+region inside F can reach k, and the solver skips it without a DP.  The
+regions that still run keep their lexicographic order, so the first one
+to reach k, and the answer, do not depend on the skip.  The DP on a
+region also stops at its first path of k arcs.
+
 Choosing b trades enumeration against DP difficulty: small b means few
 subsets but big pieces, large b many subsets of shallow pieces.  On
 graph families whose treewidth shrinks with ball radius the pieces stay
@@ -49,8 +57,12 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
 
     Tries every b-subset of vertices in ascending order, induces the
     union of their radius-ceil(k/b) balls, and runs the treewidth path
-    DP there.  Exact for every b between 1 and n; the subset count is
-    checked against the budget up front.
+    DP there, unless the region is too small for k arcs or lies inside
+    a region whose DP fell short of k.  Exact for every b between 1 and
+    n; the subset count is checked against the budget up front.
+
+    stats counts the subsets, the DP runs, the regions skipped inside a
+    failed region (cache_hits) and those skipped as too small.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -71,24 +83,26 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
         raise BudgetError("ball-cover subsets", total, budget)
     graph = underlying_graph(digraph)
     balls = {v: ball(graph, v, radius) for v in digraph.vertices}
-    cache = {}
+    # regions whose DP fell short of k, none inside another
+    failed = []
     for centers in combinations(sorted(digraph.vertices), b):
         stats["subsets"] += 1
         region = frozenset().union(*(balls[c] for c in centers))
         if len(region) < k + 1:
             stats["skipped_small"] += 1
             continue
-        if region in cache:
+        if any(region <= f for f in failed):
             stats["cache_hits"] += 1
-            arcs, path = cache[region]
-        else:
-            stats["dp_runs"] += 1
-            arcs, path = dp_longest_path(digraph.induced(region))
-            cache[region] = (arcs, path)
-        if arcs >= k:
-            stats["hit_subset"] = centers
-            for u, v in zip(path, path[1:]):
-                if not digraph.has_arc(u, v):
-                    raise DPInvariantError(f"path witness uses ({u}, {v}), not an arc")
-            return PathSearchResult(True, k, b, list(path), stats)
+            continue
+        stats["dp_runs"] += 1
+        arcs, path = dp_longest_path(digraph.induced(region), target=k)
+        if arcs < k:
+            failed = [f for f in failed if not f <= region]
+            failed.append(region)
+            continue
+        stats["hit_subset"] = centers
+        for u, v in zip(path, path[1:]):
+            if not digraph.has_arc(u, v):
+                raise DPInvariantError(f"path witness uses ({u}, {v}), not an arc")
+        return PathSearchResult(True, k, b, list(path), stats)
     return PathSearchResult(False, k, b, None, stats)

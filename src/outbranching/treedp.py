@@ -114,9 +114,12 @@ def _remove(blocks, p):
 
 @_MEMO
 def _fuse(blocks, keep, gone):
-    """Canonical blocks after fragment ``gone`` joins fragment ``keep``."""
+    """(blocks, mapping, one) after fragment ``gone`` joins fragment
+    ``keep``: the canonical blocks, the label map, and whether one
+    fragment is left."""
 
-    return _relabel(tuple(keep if t == gone else t for t in blocks))
+    fused, mapping = _relabel(tuple(keep if t == gone else t for t in blocks))
+    return fused, mapping, max(fused) == 0
 
 
 @_MEMO
@@ -203,14 +206,21 @@ class _TreeEngine:
 
     size counts the solution vertices seen so far under a size_cap and
     stays 0 without one, so only a capped run keeps a state per size.
+
+    A target (root=None only) stops the walk at the first edge or join
+    state whose one fragment holds at least target arcs, and leaves that
+    state in hit.  The fragment owns every arc of the state: the score
+    counts the arcs with a forgotten tail and child_bits the rest.
     """
 
-    def __init__(self, digraph, root, spanning, size_cap=None):
+    def __init__(self, digraph, root, spanning, size_cap=None, target=None):
         self.digraph = digraph
         self.root = root
         self.spanning = spanning
         self.grow = 0 if size_cap is None else 1
         self.size_cap = sys.maxsize if size_cap is None else size_cap
+        self.target = target
+        self.hit = None
 
     def leaf(self):
         state = ((), 0, 0, ABSENT, 0)
@@ -274,6 +284,7 @@ class _TreeEngine:
         u, w = e
         pu, pw = bag.index(u), bag.index(w)
         one_child = self.root is None
+        target = self.target
         # (arc, tail pos, head pos, head bit, tail bit, tail bit that blocks)
         cands = [((x, y), px, py, 1 << py, 1 << px, one_child << px)
                  for x, y, px, py in ((u, w, pu, pw), (w, u, pw, pu))
@@ -286,16 +297,23 @@ class _TreeEngine:
                 bx, by = blocks[px], blocks[py]
                 if bx < 0 or by < 0 or bx == by or pb & ybit or cb & xblock:
                     continue
-                nb, mapping = _fuse(blocks, bx, by)
+                nb, mapping, one = _fuse(blocks, bx, by)
                 rs2 = mapping[bx if rstat == by else rstat] if rstat >= 0 else rstat
-                _push(table, back, (nb, pb | ybit, cb | xbit, rs2, size), score, (s, arc))
+                st = (nb, pb | ybit, cb | xbit, rs2, size)
+                _push(table, back, st, score, (s, arc))
+                if one and target is not None and score + st[2].bit_count() >= target:
+                    self.hit = st
+                    return table, back
         return table, back
 
     def join(self, tl, tr):
         table, back = {}, {}
-        cap, grow = self.size_cap, self.grow
+        cap, grow, target = self.size_cap, self.grow, self.target
         for n_in, (_, lr, lsize), litems, (_, rr, rsize), ritems, (blocks, lmap, rmap) in (
                 _group_pairs(tl, tr, self.root is None)):
+            # a state is checked when it is set: one that loses to a kept
+            # score was checked with that score
+            one = target is not None and max(blocks, default=-1) == 0
             size = lsize + rsize - grow * n_in
             if size > cap:
                 continue
@@ -320,6 +338,9 @@ class _TreeEngine:
                     if old is None or score > old:
                         table[st] = score
                         back[st] = (ls, rs)
+                        if one and score + (lc | rc).bit_count() >= target:
+                            self.hit = st
+                            return table, back
         return table, back
 
 
@@ -330,6 +351,7 @@ def _execute(digraph, nice, engine):
     graph.  Finished steps wait on a stack: a join pops its left operand
     and then its right one, introduce and forget pop one.  A forget's bag
     lacks its vertex, which sat where it would sort into that bag.
+    Returns the last step, or the step that set engine.hit.
     """
 
     ug = underlying_graph(digraph)
@@ -353,6 +375,8 @@ def _execute(digraph, nice, engine):
                 if e not in assigned:
                     assigned.add(e)
                     step = _Step(EDGE, (step,), *engine.edge(step.table, bag, e))
+                    if engine.hit is not None:
+                        return step
         elif kind == FORGET:
             child = done.pop()
             step = _Step(kind, (child,), *engine.forget(child.table, bag, v))
@@ -360,6 +384,8 @@ def _execute(digraph, nice, engine):
             left = done.pop()
             right = done.pop()
             step = _Step(kind, (left, right), *engine.join(left.table, right.table))
+            if engine.hit is not None:
+                return step
         else:
             raise DPInvariantError(f"unknown nice op kind {kind!r}")
         done.append(step)
@@ -390,9 +416,13 @@ def _collect_arcs(final_step, final_state):
 
 def _best_closed(digraph, nice, engine):
     """Run the engine; (score, state, arcs) for its best finished state,
-    with the arcs its backpointers spell out, or None if no state closed."""
+    with the arcs its backpointers spell out, or None if no state closed.
+    A hit state stands in for the best finished one, scored by its arcs."""
 
     top = _execute(digraph, nice, engine)
+    hit = engine.hit
+    if hit is not None:
+        return top.table[hit] + hit[2].bit_count(), hit, _collect_arcs(top, hit)
     closed = [state for state in top.table if state[3] == CLOSED]
     if not closed:
         return None
@@ -452,15 +482,18 @@ def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None):
     return best
 
 
-def dp_longest_path(digraph, nice=None):
+def dp_longest_path(digraph, nice=None, target=None):
     """Longest directed path, counted in arcs.  Returns (count, vertices).
 
-    Runs the rootless _TreeEngine, whose out-trees are the paths.
+    Runs the rootless _TreeEngine, whose out-trees are the paths.  With a
+    target, the walk stops at the first path of at least target arcs and
+    returns it, longest or not; a digraph without one still gets its
+    longest path.
     """
 
     if not digraph.vertices:
         return 0, []
-    best = _best_closed(digraph, nice, _TreeEngine(digraph, None, spanning=False))
+    best = _best_closed(digraph, nice, _TreeEngine(digraph, None, spanning=False, target=target))
     if best is None:
         raise DPInvariantError("no one-vertex path survived")
     score, _, arcs = best

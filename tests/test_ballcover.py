@@ -135,3 +135,14 @@ def test_stats_reporting():
     no = solve_kpath_ballcover(cycle, 5, 5)
     assert not no.satisfiable
     assert no.stats["subsets"] == 1
+
+
+def test_no_call_accounts_for_every_subset():
+    # a zigzag's longest path has one arc; each subset is too small for
+    # k=4, runs the DP, or lies inside a region whose DP fell short
+    zigzag = Digraph.of(8, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(7)])
+    res = solve_kpath_ballcover(zigzag, 4, 2)
+    assert not res.satisfiable
+    s = res.stats
+    assert s["skipped_small"] > 0 and s["cache_hits"] > 0 and s["dp_runs"] > 0
+    assert s["dp_runs"] + s["cache_hits"] + s["skipped_small"] == s["subsets"] == 28

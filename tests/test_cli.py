@@ -272,6 +272,10 @@ GRID = {"family": "grid", "rows": 2, "cols": 2}
      r"'root' must be an integer, got '0'"),
     ({"spec": GRID, "problem": "iob", "k": 1, "root": 99},
      r"root 99 not in the generated digraph's vertices 0\.\.3"),
+    ({"spec": GRID, "problem": "lob", "k": 0, "root": 0}, r"'k' must be >= 1, got 0"),
+    ({"spec": GRID, "problem": "kpath", "k": -1, "b": 1}, r"'k' must be >= 1, got -1"),
+    ({"spec": GRID, "problem": "kpath", "k": 2, "b": 0}, r"'b' must be in 1\.\.4, got 0"),
+    ({"spec": GRID, "problem": "kpath", "k": 2, "b": 5}, r"'b' must be in 1\.\.4, got 5"),
 ])
 def test_bench_suite_bad_entry_exit_two(capsys, tmp_path, monkeypatch, entry, message):
     def no_generate(spec):

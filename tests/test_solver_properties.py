@@ -4,10 +4,15 @@ Random small digraphs, a drawn root (or none, which scans every root) and
 a drawn k; every answer must match the brute-force oracle and every "yes"
 must carry a witness that meets k: a spanning out-tree for the two
 out-branching solvers, a simple directed path for the k-path solver.
+The k-path solver's two shortcuts get their own oracles: the path DP that
+stops at a target length, and the skip of ball regions that lie inside
+a failed one, which must not change the first region that succeeds.
 The checks that guard a returned "yes" raise DPInvariantError when a
 witness falls short; `tests/test_optimize.py` runs this file under
 python -O, where an assert in their place would vanish.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +30,10 @@ from outbranching import (
     solve_iob,
     solve_kpath_ballcover,
     solve_lob,
+    underlying_graph,
     validate_out_tree,
 )
+from outbranching.treedp import dp_longest_path
 
 
 @st.composite
@@ -108,6 +115,37 @@ def test_solve_kpath_matches_oracle(case):
     assert len(path) - 1 >= k
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kpath_cases())
+def test_dp_longest_path_stops_at_target(case):
+    d, k, _ = case
+    longest, _ = brute_longest_path(d)
+    count, path = dp_longest_path(d, target=k)
+    assert len(path) == count + 1 and len(set(path)) == len(path), path
+    assert all(d.has_arc(u, v) for u, v in zip(path, path[1:])), path
+    if longest >= k:
+        assert k <= count <= longest, (d.arcs, k, count)
+    else:
+        assert count == longest, (d.arcs, k, count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kpath_cases())
+def test_solve_kpath_hits_the_first_subset_of_a_brute_scan(case):
+    d, k, b = case
+    radius = -(-k // b)
+    g = underlying_graph(d)
+    hit = None
+    for centers in combinations(sorted(d.vertices), b):
+        region = frozenset().union(*(ballcover.ball(g, c, radius) for c in centers))
+        if brute_longest_path(d.induced(region))[0] >= k:
+            hit = centers
+            break
+    res = solve_kpath_ballcover(d, k, b)
+    assert res.satisfiable == (hit is not None), (d.arcs, k, b)
+    assert res.stats["hit_subset"] == hit, (d.arcs, k, b)
+
+
 K4 = Digraph.of(4, [(u, v) for u in range(4) for v in range(4) if u != v])
 # a spanning path of K4: one leaf, three internal vertices
 K4_PATH = OutTree(0, {1: 0, 2: 1, 3: 2})
@@ -142,6 +180,7 @@ def test_iob_yes_guard_raises(monkeypatch):
 
 
 def test_kpath_yes_guard_raises(monkeypatch):
-    monkeypatch.setattr(ballcover, "dp_longest_path", lambda d: (2, [0, 2, 1]))
+    monkeypatch.setattr(ballcover, "dp_longest_path",
+                        lambda d, target=None: (2, [0, 2, 1]))
     with pytest.raises(DPInvariantError, match=r"\(0, 2\), not an arc"):
         solve_kpath_ballcover(Digraph.of(3, [(0, 1), (1, 2)]), 2, 1)

@@ -17,6 +17,8 @@ from outbranching import (
     validate_out_tree,
 )
 from outbranching.treedp import (
+    EDGE,
+    _collect_arcs,
     _execute,
     _TreeEngine,
     dp_longest_path,
@@ -24,6 +26,7 @@ from outbranching.treedp import (
     dp_max_leaves,
 )
 from outbranching.treewidth import (
+    JOIN,
     decomposition_from_ordering,
     exact_treewidth_small,
     make_nice,
@@ -175,6 +178,56 @@ def test_longest_path_matches_oracle():
             assert d.has_arc(a, b)
 
 
+class _CountingEngine(_TreeEngine):
+    """A _TreeEngine that counts its edge and join steps."""
+
+    calls = 0
+
+    def edge(self, *args):
+        self.calls += 1
+        return super().edge(*args)
+
+    def join(self, *args):
+        self.calls += 1
+        return super().join(*args)
+
+
+def _steps_in_run_order(top):
+    """Every step below top, in the order _execute ran them: a join pops
+    its left operand last, so its right operand's steps ran first."""
+    order, stack = [], [(top, False)]
+    while stack:
+        step, expanded = stack.pop()
+        if expanded:
+            order.append(step)
+        else:
+            stack.append((step, True))
+            stack += [(prev, False) for prev in step.prev]
+    return order
+
+
+def test_target_stops_at_the_first_step_with_a_long_fragment():
+    # the reference runs without a target and counts each one-fragment
+    # state's arcs from its backpointers
+    stops = 0
+    for d in random_corpus(30, seed=139, n_lo=3, n_hi=7, density=2.0):
+        full = _execute(d, None, _TreeEngine(d, None, spanning=False))
+        steps = [s for s in _steps_in_run_order(full) if s.kind in (EDGE, JOIN)]
+        for target in (1, 2, 3, 4, 5):
+            first = next((i for i, step in enumerate(steps) if any(
+                len({b for b in state[0] if b >= 0}) == 1
+                and len(_collect_arcs(step, state)) >= target
+                for state in step.table)), None)
+            engine = _CountingEngine(d, None, spanning=False, target=target)
+            _execute(d, None, engine)
+            if first is None:
+                assert engine.hit is None and engine.calls == len(steps), (d.arcs, target)
+            else:
+                assert engine.calls == first + 1, (d.arcs, target)
+                stops += 1
+    assert stops >= 60
+
+
 def test_longest_path_on_grid():
     d = grid_digraph(3, 3)
     got, wit = dp_longest_path(d)
@@ -251,6 +304,12 @@ def test_dps_match_oracles_on_random_decompositions(case):
     length, path = dp_longest_path(d, nice)
     assert length == brute_longest_path(d)[0]
     assert len(path) == length + 1 == len(set(path))
+    assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
+
+    # the cap doubles as a target length
+    count, path = dp_longest_path(d, nice, target=cap)
+    assert cap <= count <= length if length >= cap else count == length
+    assert len(path) == count + 1 == len(set(path))
     assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
 
 
