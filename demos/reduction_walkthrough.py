@@ -9,7 +9,6 @@ contraction, a multi-way cut vertex with its imaginary duplicate, the
 from outbranching import Digraph, brute_max_leaves
 from outbranching.connectivity import cut_profile, is_rooted_2connected
 from outbranching.leaf_pipeline import (
-    Reduced,
     contract_pendant_arcs,
     duplicate_multi_cut,
     exhaust_stranding_contractions,
@@ -55,15 +54,16 @@ def main():
 
     k = 2
     outcome = reduce_lob(d, root, k)
-    if isinstance(outcome, Reduced):
+    report = outcome.report
+    if report.outcome == "reduced":
         print(f"\nreduce at k={k}: no count guarantee fired, so a deletion "
               f"set is produced instead:")
         print(f"  kept digraph with {outcome.digraph.n} vertices, deletion "
-              f"set {sorted(outcome.s_vertices)} (bound 120k = {120 * k})")
+              f"set {sorted(outcome.selected)} (bound 120k = {120 * k})")
         print(f"  removing it leaves a low-treewidth residue where the "
               f"branching DP runs")
     else:
-        print(f"\nreduce at k={k}: guaranteed yes ({outcome.reason})")
+        print(f"\nreduce at k={k}: {report.outcome} ({report.reason})")
 
     result = solve_lob(d, k)
     print(f"\nfull solve at k={k}: satisfiable={result.satisfiable}")
@@ -71,6 +71,21 @@ def main():
     tree = result.witness
     print(f"witness branching from {tree.root}: arcs {sorted(tree.arcs())}")
     print(f"leaves: {sorted(tree.leaves())}")
+
+    # reduce_lob ends every root in one record whose report names the
+    # ending; a root that misses a vertex is a plain "disconnected" report
+    k = 4
+    result = solve_lob(d, k)
+    print(f"\nfull solve at k={k}: satisfiable={result.satisfiable}, "
+          f"one report per root tried:")
+    for rep in result.reports:
+        if rep.outcome == "disconnected":
+            detail = f"misses {rep.unreachable_count} vertices"
+        elif rep.outcome == "reduced":
+            detail = f"|S| = {rep.selected_size}, the DP decides"
+        else:
+            detail = rep.reason
+        print(f"  root {rep.root}: {rep.outcome} ({detail})")
 
 
 if __name__ == "__main__":

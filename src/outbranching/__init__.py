@@ -30,7 +30,7 @@ from .connectivity import (
     arcs_disconnecting_two,
     CutProfile,
 )
-from .errors import BudgetError, DPInvariantError, RootDisconnected
+from .errors import BudgetError, DPInvariantError
 from .oracle import (
     enum_arborescences,
     count_arborescences,
@@ -51,8 +51,6 @@ from .treewidth import (
 )
 from .treedp import dp_max_leaves, dp_max_internal_outtree, dp_longest_path
 from .leaf_pipeline import (
-    GuaranteedYes,
-    Reduced,
     StructureReport,
     reduce_lob,
     solve_lob,

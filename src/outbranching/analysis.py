@@ -17,9 +17,9 @@ import io
 import math
 import time
 
-from .errors import BudgetError, RootDisconnected
+from .errors import BudgetError
 from .digraph import underlying_graph
-from .leaf_pipeline import GuaranteedYes, reduce_lob, solve_lob
+from .leaf_pipeline import reduce_lob, solve_lob
 from .internal_pipeline import solve_iob
 from .ballcover import solve_kpath_ballcover
 from .generators import GeneratorSpec, generate
@@ -44,23 +44,22 @@ def analyze(digraph, root, k):
     report["root"] = root
     report["k"] = k
     report["tw_input"] = treewidth_upper_bound(underlying_graph(digraph))
-    try:
-        outcome = reduce_lob(digraph, root, k)
-    except RootDisconnected:
+    outcome = reduce_lob(digraph, root, k)
+    sr = outcome.report
+    if sr.outcome == "disconnected":
         report["outcome"] = "disconnected"
         return report
-    sr = outcome.report
     report["contractions"] = sr.contractions
     report["multi_cut"] = sr.multi_cut_count
     report["single_cut"] = sr.single_cut_count
     report["k_effective"] = sr.k_effective
     report["alpha"] = sr.alpha
     report["beta"] = sr.beta
-    if isinstance(outcome, GuaranteedYes):
-        report["outcome"] = f"guaranteed_yes:{outcome.reason}"
+    if sr.outcome == "guaranteed":
+        report["outcome"] = f"guaranteed_yes:{sr.reason}"
         return report
     report["outcome"] = "reduced"
-    s = outcome.s_vertices
+    s = outcome.selected
     report["s_size"] = len(s)
     reduced_ug = underlying_graph(outcome.digraph)
     report["tw_reduced"] = treewidth_upper_bound(reduced_ug)

@@ -276,15 +276,18 @@ class OutTree:
             if c == p:
                 raise ValueError(f"vertex {c} is its own parent")
         # every vertex must reach the root through parents, which also
-        # rules out cycles and puts every parent in the tree
+        # rules out cycles and puts every parent in the tree; a walk stops
+        # at a vertex an earlier walk proved, so each vertex is walked once
+        proved = {root}
         for c in self.parents:
-            seen = {c}
+            seen = set()
             x = c
-            while x != root:
+            while x not in proved:
+                seen.add(x)
                 x = self.parents.get(x)
                 if x is None or x in seen:
                     raise ValueError(f"vertex {c} does not reach the root")
-                seen.add(x)
+            proved |= seen
 
     @property
     def vertex_set(self):

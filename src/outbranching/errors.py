@@ -15,16 +15,6 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
-class RootDisconnected(Exception):
-    """Some vertex is unreachable from the chosen root, so no spanning
-    out-tree rooted there exists. Signals "no" for that root."""
-
-    def __init__(self, root, missing):
-        super().__init__(f"root {root} cannot reach {sorted(missing)}")
-        self.root = root
-        self.missing = frozenset(missing)
-
-
 class DPInvariantError(RuntimeError):
     """The tree-decomposition DP broke one of its own invariants, or its
     witness failed validation. Signals a bug, never a "no" answer; it is

@@ -23,7 +23,9 @@ vertices may be kept and how many; collection_size counts those
 yields each as (part_index, kept, sub_digraph).  The solver runs the
 internal-DP on each sub-digraph, capped at the witness size when the
 sub-digraph is larger.  The cap loses no answer and keeps the DP
-polynomial in the bag width.
+polynomial in the bag width.  A part kept whole gives back the whole
+digraph, of which every sub-digraph is an induced subdigraph; when that
+DP falls short of k no later one can reach it, so the root ends there.
 """
 
 import math
@@ -167,25 +169,22 @@ def _solve_one_root(digraph, k, root, budget):
     parts = build_partitions(underlying_graph(digraph), root, k)
     report["collection_size"] = collection_size(parts, root, k)
     cap = witness_size_cap(k)
-    cache = {}
-    for index, kept, sub in generate_collection(digraph, root, k, parts,
-                                                budget):
+    for done, (index, kept, sub) in enumerate(
+            generate_collection(digraph, root, k, parts, budget), 1):
         if sub.n < k + 1:
             report["skipped_small"] += 1
             continue
-        key = sub.vertices
-        if key in cache:
-            report["cache_hits"] += 1
-            best = cache[key]
-        else:
-            report["evaluated"] += 1
-            best = dp_max_internal_outtree(
-                sub, root, size_cap=cap if cap < sub.n else None)
-            cache[key] = best
+        report["evaluated"] += 1
+        best = dp_max_internal_outtree(
+            sub, root, size_cap=cap if cap < sub.n else None)
         if best[0] >= k:
             report["outcome"] = "witness_tree"
             report["hit"] = (index, tuple(sorted(kept)))
             return report, best[1]
+        # the sub-instances not run count as cache hits
+        if sub.n == digraph.n:
+            report["cache_hits"] = report["collection_size"] - done
+            break
     return report, None
 
 

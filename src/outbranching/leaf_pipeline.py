@@ -21,12 +21,18 @@ chain of structure-preserving rewrites:
    removal leaves a shallow residue: the remaining graph decomposes with
    small width, so dynamic programming is cheap afterwards.
 
-The actual yes/no for the reduced case is decided by the spanning
-branching dynamic program on the contracted graph, and every yes carries
-a verifiable witness expanded back to the input digraph.
+reduce_lob returns one Reduction record for every root, whichever way
+the reduction ends: its StructureReport says "disconnected" when the
+root misses a vertex (no), "guaranteed" when a count fired (yes, with
+the count named as the reason) or "reduced".  The actual yes/no for the
+reduced case is decided by the spanning branching dynamic program on the
+contracted graph, and every yes carries a verifiable witness expanded
+back to the input digraph.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .connectivity import (
     _contract_tree,
@@ -46,7 +52,7 @@ from .digraph import (
     underlying_graph,
     witness_tree,
 )
-from .errors import DPInvariantError, RootDisconnected
+from .errors import DPInvariantError
 from .treedp import dp_max_leaves
 from .treewidth import greedy_decomposition, make_nice
 
@@ -89,33 +95,12 @@ class StructureReport:
         return f"StructureReport(root={self.root}, outcome={self.outcome!r}, reason={self.reason!r})"
 
 
-class GuaranteedYes:
-    """The reduction proved the instance satisfiable without solving it."""
-
-    __slots__ = ("root", "k", "reason", "digraph", "steps", "forced_arcs", "report")
-
-    def __init__(self, root, k, reason, digraph, steps, forced_arcs, report):
-        self.root = root
-        self.k = k
-        self.reason = reason
-        self.digraph = digraph
-        self.steps = steps
-        self.forced_arcs = forced_arcs
-        self.report = report
-
-
-class Reduced:
-    """A shrunken equivalent instance plus the small separator S."""
-
-    __slots__ = ("root", "k", "digraph", "steps", "s_vertices", "report")
-
-    def __init__(self, root, k, digraph, steps, s_vertices, report):
-        self.root = root
-        self.k = k
-        self.digraph = digraph
-        self.steps = steps
-        self.s_vertices = s_vertices
-        self.report = report
+# What reduce_lob found for one root. report.outcome says which ending:
+# "disconnected" (digraph, steps, forced_arcs and selected are None),
+# "guaranteed" or "reduced". digraph is the input after the stranding
+# contractions recorded in steps; forced_arcs is set only for the
+# "multi_cut_count" reason and selected, the set S, only for "reduced".
+Reduction = namedtuple("Reduction", "report digraph steps forced_arcs selected")
 
 
 def exhaust_stranding_contractions(digraph, root):
@@ -218,21 +203,26 @@ def contract_pendant_arcs(digraph, pendant_arcs):
 
 
 def reduce_lob(digraph, root, k):
-    """Run the full reduction for one root.
+    """Run the full reduction for one root and return its Reduction.
 
-    Returns GuaranteedYes or Reduced.  Raises RootDisconnected when the
-    root does not reach every vertex, since no spanning branching can
-    exist then, and ValueError when k < 1.
+    The report's outcome is "disconnected" when the root does not reach
+    every vertex (no spanning branching exists; unreachable_count says
+    how many it misses), "guaranteed" when a counting lemma proves k
+    leaves (the reason names the lemma), and "reduced" otherwise.
+    Raises ValueError when k < 1, and DPInvariantError when the squeeze
+    leaves no rooted 2-connected digraph.
     """
 
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    report = StructureReport(root, k)
     # the dominator tree holds exactly the vertices the root reaches
     idom = _idoms(digraph, root)
     missing = digraph.vertices - idom.keys()
     if missing:
-        raise RootDisconnected(root, missing)
-    report = StructureReport(root, k)
+        report.outcome = "disconnected"
+        report.unreachable_count = len(missing)
+        return Reduction(report, None, None, None, None)
 
     # the root reaches everything, so the tree of the reduced graph spans
     reduced, steps, idom = _contract_stranding_arcs(digraph, root, idom)
@@ -247,8 +237,7 @@ def reduce_lob(digraph, root, k):
     if len(profile.multi_cut) >= k:
         report.outcome = "guaranteed"
         report.reason = "multi_cut_count"
-        return GuaranteedYes(root, k, "multi_cut_count", reduced, steps,
-                             profile.forced_arcs, report)
+        return Reduction(report, reduced, steps, profile.forced_arcs, None)
 
     k_eff = k + len(profile.multi_cut)
     report.k_effective = k_eff
@@ -275,13 +264,11 @@ def reduce_lob(digraph, root, k):
     if report.alpha >= HIGH_INDEGREE_FACTOR * k_eff:
         report.outcome = "guaranteed"
         report.reason = "high_indegree_count"
-        return GuaranteedYes(root, k, "high_indegree_count", reduced, steps,
-                             None, report)
+        return Reduction(report, reduced, steps, None, None)
     if report.beta >= NICE_FACTOR * k_eff:
         report.outcome = "guaranteed"
         report.reason = "nice_vertex_count"
-        return GuaranteedYes(root, k, "nice_vertex_count", reduced, steps,
-                             None, report)
+        return Reduction(report, reduced, steps, None, None)
 
     boundary = high | nice
     report.boundary_size = len(boundary)
@@ -294,7 +281,7 @@ def reduce_lob(digraph, root, k):
     report.selected_size = len(selected)
 
     report.outcome = "reduced"
-    return Reduced(root, k, reduced, steps, selected, report)
+    return Reduction(report, reduced, steps, None, selected)
 
 
 def expand_arc_contraction(tree, graph_before, arc):
@@ -330,8 +317,9 @@ def expand_through_steps(tree, steps):
 
 
 def _forced_arc_witness(outcome):
-    tree = bfs_branching(outcome.digraph, outcome.root)
-    tree = force_cut_arcs(outcome.digraph, outcome.root, tree, outcome.forced_arcs)
+    root = outcome.report.root
+    tree = bfs_branching(outcome.digraph, root)
+    tree = force_cut_arcs(outcome.digraph, root, tree, outcome.forced_arcs)
     multi = {x for x, _ in outcome.forced_arcs}
     if len(tree.leaves()) < len(multi) + 1:
         raise DPInvariantError(
@@ -348,7 +336,7 @@ def _dp_witness(outcome):
     if td.width > WITNESS_WIDTH_LIMIT:
         return None, None
     nice = make_nice(td)
-    answer = dp_max_leaves(outcome.digraph, outcome.root, nice)
+    answer = dp_max_leaves(outcome.digraph, outcome.report.root, nice)
     if answer is None:
         raise DPInvariantError("a guaranteed instance is not fully reachable")
     return answer
@@ -385,19 +373,14 @@ def solve_lob(digraph, k, root=None, witness=True):
 
     roots = [root] if root is not None else sorted(digraph.vertices)
     for r in roots:
-        try:
-            outcome = reduce_lob(digraph, r, k)
-        except RootDisconnected as exc:
-            report = StructureReport(r, k)
-            report.outcome = "disconnected"
-            report.unreachable_count = len(exc.missing)
-            reports.append(report)
-            continue
+        outcome = reduce_lob(digraph, r, k)
         reports.append(outcome.report)
-        if isinstance(outcome, GuaranteedYes):
+        if outcome.report.outcome == "disconnected":
+            continue
+        if outcome.report.outcome == "guaranteed":
             tree = None
             if witness:
-                if outcome.reason == "multi_cut_count":
+                if outcome.report.reason == "multi_cut_count":
                     tree = _forced_arc_witness(outcome)
                 else:
                     count, solved = _dp_witness(outcome)

@@ -48,23 +48,29 @@ def enum_arborescences(digraph, root, limit=DEFAULT_ENUM_LIMIT):
                 return False
         return False
 
-    def rec(i):
-        nonlocal produced
-        if i == len(others):
+    # an explicit stack of iterators over the untried parent choices of
+    # others[0], others[1], ..., so that depth is not bounded by recursion
+    stack = []
+    while True:
+        if len(stack) == len(others):
             produced += 1
             if produced > limit:
                 raise BudgetError("arborescence enumeration", produced, limit)
             yield OutTree(root, dict(parent))
+        else:
+            stack.append(iter(choices[len(stack)]))
+        # take the next choice of the deepest vertex, backing up past every
+        # vertex whose choices are used up
+        while stack:
+            v = others[len(stack) - 1]
+            p = next((p for p in stack[-1] if not closes_cycle(v, p)), None)
+            if p is not None:
+                parent[v] = p
+                break
+            stack.pop()
+            parent.pop(v, None)
+        else:
             return
-        v = others[i]
-        for p in choices[i]:
-            if closes_cycle(v, p):
-                continue
-            parent[v] = p
-            yield from rec(i + 1)
-            del parent[v]
-
-    yield from rec(0)
 
 
 def count_arborescences(digraph, root):
@@ -97,6 +103,11 @@ def count_arborescences(digraph, root):
         if lap[i][i] == 0:
             return 0
         for r in range(i + 1, n):
+            # a row with a zero in column i is only scaled by pivot/prev,
+            # so it stays as it is when the two are equal; on a directed
+            # path every row does, and the count takes quadratic time
+            if lap[r][i] == 0 and lap[i][i] == prev:
+                continue
             for c in range(i + 1, n):
                 lap[r][c] = (lap[r][c] * lap[i][i]
                              - lap[r][i] * lap[i][c]) // prev
@@ -190,11 +201,22 @@ def brute_longest_path(digraph, limit=2_000_000):
     best = 0
     witness = [min(digraph.vertices)]
     steps = 0
+    succ = {v: sorted(digraph.out_neighbors(v)) for v in digraph.vertices}
     path = []
     on_path = set()
-
-    def rec(v):
-        nonlocal best, witness, steps
+    # stack[0] iterates the start vertices and stack[i + 1] the successors
+    # of path[i]: an explicit stack, so path length is not bounded by
+    # recursion
+    stack = [iter(sorted(digraph.vertices))]
+    while stack:
+        for v in stack[-1]:
+            if v not in on_path:
+                break
+        else:
+            stack.pop()
+            if path:
+                on_path.remove(path.pop())
+            continue
         steps += 1
         if steps > limit:
             raise BudgetError("simple path enumeration", steps, limit)
@@ -203,12 +225,5 @@ def brute_longest_path(digraph, limit=2_000_000):
         if len(path) - 1 > best:
             best = len(path) - 1
             witness = list(path)
-        for w in sorted(digraph.out_neighbors(v)):
-            if w not in on_path:
-                rec(w)
-        path.pop()
-        on_path.remove(v)
-
-    for s in sorted(digraph.vertices):
-        rec(s)
+        stack.append(iter(succ[v]))
     return best, witness

@@ -33,6 +33,44 @@ def labelled_digraphs(draw, max_n=9):
     return Digraph(ids, arcs)
 
 
+@st.composite
+def parent_maps(draw, max_n=12):
+    """(root, parents) for OutTree: a random tree on 0..n-1, then up to two
+    parents redirected anywhere in 0..n (n is outside the tree, so an
+    orphan), sometimes a parent for the root, keys in random order."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    root = order[0]
+    parents = {v: order[draw(st.integers(0, i - 1))]
+               for i, v in enumerate(order) if i}
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.sampled_from(order))
+        if v != root or draw(st.integers(0, 3)) == 0:
+            parents[v] = draw(st.integers(0, n))
+    keys = draw(st.permutations(list(parents)))
+    return root, {c: parents[c] for c in keys}
+
+
+def out_tree_walk_error(root, parents):
+    """The message of the ValueError OutTree(root, parents) raises, or
+    None when it accepts, by walking every vertex all the way up to the
+    root: the O(n * depth) reference for OutTree's checks."""
+    if root in parents:
+        return "root cannot have a parent"
+    for c, p in parents.items():
+        if c == p:
+            return f"vertex {c} is its own parent"
+    for c in parents:
+        seen = {c}
+        x = c
+        while x != root:
+            x = parents.get(x)
+            if x is None or x in seen:
+                return f"vertex {c} does not reach the root"
+            seen.add(x)
+    return None
+
+
 def brute_idoms(d, r):
     """{v: immediate dominator of v} over the vertices r reaches, r mapped
     to itself, by definition: x dominates y iff y leaves

@@ -29,7 +29,6 @@ from outbranching.internal_pipeline import (
     witness_size_cap,
 )
 from outbranching.leaf_pipeline import (
-    Reduced,
     bfs_branching,
     contract_pendant_arcs,
     duplicate_multi_cut,
@@ -39,7 +38,6 @@ from outbranching.leaf_pipeline import (
     solve_lob,
 )
 from outbranching.analysis import analyze
-from outbranching.errors import RootDisconnected
 from outbranching.treewidth import (
     exact_treewidth_small,
     greedy_decomposition,
@@ -139,15 +137,14 @@ def test_criterion_4_reduction_bounds_on_grids():
             for seed in (0, 1):
                 d = generate(grid_spec(side, seed=seed, p2=p2))
                 for k in range(1, 6):
-                    try:
-                        outcome = reduce_lob(d, 0, k)
-                    except RootDisconnected:
+                    outcome = reduce_lob(d, 0, k)
+                    if outcome.report.outcome == "disconnected":
                         skipped += 1
                         continue
-                    if not isinstance(outcome, Reduced):
+                    if outcome.report.outcome != "reduced":
                         continue
                     reduced_count += 1
-                    s = outcome.s_vertices
+                    s = outcome.selected
                     residue = underlying_graph(
                         outcome.digraph.without_vertices(s))
                     width = treewidth_upper_bound(residue)
@@ -155,7 +152,7 @@ def test_criterion_4_reduction_bounds_on_grids():
                         violations.append((side, p2, seed, k, len(s), width))
     ok = not violations and reduced_count >= 30
     _verdict(4, ok, time.perf_counter() - start, 120,
-             f"{reduced_count} Reduced outcomes checked "
+             f"{reduced_count} reduced outcomes checked "
              f"(|S| <= 120k and residual width <= 3), "
              f"{skipped} disconnected roots skipped, "
              f"{len(violations)} violations")

@@ -93,6 +93,17 @@ def test_verify_agrees(capsys, tmp_path):
         assert json.loads(out)["match"] is True
 
 
+def test_verify_kpath_on_a_long_path(capsys, tmp_path):
+    # the oracle's search goes 1099 arcs deep, past the recursion limit
+    n = 1100
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    path = write_instance(tmp_path, text)
+    code, out, err = run(capsys, "verify", "--input", path, "--problem",
+                         "kpath", "--k", "3", "--b", "1")
+    assert code == 0, err
+    assert json.loads(out)["match"] is True
+
+
 def test_verify_mismatch_exits_four(capsys, tmp_path, monkeypatch):
     path = write_instance(tmp_path, STAR)
 

@@ -1,4 +1,6 @@
 import pytest
+import time
+
 from hypothesis import given, settings
 
 from outbranching import (
@@ -15,7 +17,8 @@ from outbranching import (
     underlying_graph,
     validate_out_tree,
 )
-from helpers import labelled_digraphs, random_corpus
+from helpers import (labelled_digraphs, out_tree_walk_error, parent_maps,
+                     random_corpus)
 
 
 def test_digraph_rejects_self_loops():
@@ -118,6 +121,29 @@ def test_out_tree_rejects_cycles_and_orphans():
         OutTree(0, {1: 2, 2: 1})
     with pytest.raises(ValueError):
         OutTree(0, {0: 1})
+
+
+def test_out_tree_of_a_long_path_builds_in_linear_time():
+    # deepest vertex first: walking each vertex up to the root would take
+    # n * depth / 2 = 2 * 10**8 steps
+    n = 20_000
+    start = time.perf_counter()
+    t = OutTree(0, {v: v - 1 for v in range(n - 1, 0, -1)})
+    assert time.perf_counter() - start < 1.0
+    assert t.leaves() == {n - 1}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(parent_maps())
+def test_out_tree_accepts_and_rejects_as_the_full_walk(case):
+    root, parents = case
+    want = out_tree_walk_error(root, parents)
+    if want is None:
+        assert OutTree(root, parents).parents == parents
+    else:
+        with pytest.raises(ValueError) as exc:
+            OutTree(root, parents)
+        assert str(exc.value) == want
 
 
 def test_validate_out_tree_against_host():

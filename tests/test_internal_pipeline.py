@@ -228,6 +228,33 @@ def test_solve_caps_the_dp_when_the_cap_is_below_the_vertex_count(monkeypatch):
     assert caps == [witness_size_cap(k)]
 
 
+def test_root_ends_once_the_whole_digraph_falls_short(monkeypatch):
+    # the path 0..4 plus the leaf 5 has four internal vertices at most; at
+    # k = 5 every part fits whole, and part 0 kept whole is the digraph
+    n, k = 6, 5
+    d = Digraph.of(n, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)])
+    parts = build_partitions(underlying_graph(d), 0, k)
+    room = ceil_sqrt(4 * k)
+    assert sum(len(part) <= room for part in parts) >= 2
+    assert brute_max_internal(d, 0) < k
+    sizes = []
+    run = internal_pipeline.dp_max_internal_outtree
+
+    def spy(digraph, root, size_cap=None):
+        sizes.append(digraph.n)
+        return run(digraph, root, size_cap=size_cap)
+
+    monkeypatch.setattr(internal_pipeline, "dp_max_internal_outtree", spy)
+    res = solve_iob(d, k, root=0)
+    assert not res.satisfiable
+    report = res.reports[0]
+    assert report["outcome"] == "exhausted" and report["hit"] is None
+    # part 0 yields {0} (too small), then {0, 4}: the whole digraph
+    assert sizes == [n]
+    assert (report["skipped_small"], report["evaluated"]) == (1, 1)
+    assert report["cache_hits"] == collection_size(parts, 0, k) - 2
+
+
 def test_unreachable_root_reports_disconnected():
     d = Digraph.of(3, [(1, 0), (1, 2)])
     res = solve_iob(d, 1, root=0)

@@ -3,11 +3,11 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from outbranching import (
     Digraph,
     DPInvariantError,
-    RootDisconnected,
     brute_max_leaves,
     is_rooted_2connected,
     reachable,
@@ -15,8 +15,6 @@ from outbranching import (
     validate_out_tree,
 )
 from outbranching.leaf_pipeline import (
-    GuaranteedYes,
-    Reduced,
     bfs_branching,
     contract_pendant_arcs,
     duplicate_multi_cut,
@@ -87,10 +85,11 @@ def test_bad_root_and_k_raise_value_error():
         reduce_lob(d, 0, 0)
 
 
-def test_reduce_raises_on_disconnected_root():
+def test_reduce_reports_a_disconnected_root():
     d = Digraph.of(3, [(0, 1)])
-    with pytest.raises(RootDisconnected):
-        reduce_lob(d, 0, 1)
+    report = reduce_lob(d, 0, 1).report
+    assert report.outcome == "disconnected"
+    assert report.unreachable_count == 1
     res = solve_lob(d, 1, root=0)
     assert not res.satisfiable
     assert res.reports[0].outcome == "disconnected"
@@ -154,8 +153,8 @@ def test_force_cut_arcs_on_multi_cut_instance():
 def test_guaranteed_by_multi_cut_with_witness():
     d = multi_cut_instance()
     outcome = reduce_lob(d, 0, 1)
-    assert isinstance(outcome, GuaranteedYes)
-    assert outcome.reason == "multi_cut_count"
+    assert outcome.report.outcome == "guaranteed"
+    assert outcome.report.reason == "multi_cut_count"
     res = solve_lob(d, 1, root=0)
     assert res.satisfiable
     validate_out_tree(d, res.witness, spanning=True)
@@ -167,8 +166,8 @@ def test_guaranteed_by_high_indegree_on_complete_digraph():
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
     d = Digraph.of(n, arcs)
     outcome = reduce_lob(d, 0, 1)
-    assert isinstance(outcome, GuaranteedYes)
-    assert outcome.reason == "high_indegree_count"
+    assert outcome.report.outcome == "guaranteed"
+    assert outcome.report.reason == "high_indegree_count"
     assert outcome.report.alpha == 6
     res = solve_lob(d, 1, root=0)
     assert res.satisfiable
@@ -179,8 +178,8 @@ def test_guaranteed_by_high_indegree_on_complete_digraph():
 def test_guaranteed_by_nice_vertices_on_petal_instance():
     d = petal_instance()
     outcome = reduce_lob(d, 0, 1)
-    assert isinstance(outcome, GuaranteedYes)
-    assert outcome.reason == "nice_vertex_count"
+    assert outcome.report.outcome == "guaranteed"
+    assert outcome.report.reason == "nice_vertex_count"
     assert outcome.report.beta >= 24
     assert outcome.report.alpha < 6
     res = solve_lob(d, 1, root=0)
@@ -266,10 +265,10 @@ def test_reduced_outcome_invariants_on_bidirected_cycles():
         for r in range(n):
             for k in (1, 2):
                 outcome = reduce_lob(d, r, k)
-                assert isinstance(outcome, Reduced)
-                assert len(outcome.s_vertices) <= 120 * k
+                assert outcome.report.outcome == "reduced"
+                assert len(outcome.selected) <= 120 * k
                 residue = underlying_graph(
-                    outcome.digraph.without_vertices(outcome.s_vertices))
+                    outcome.digraph.without_vertices(outcome.selected))
                 assert treewidth_upper_bound(residue) <= 2
 
 
@@ -279,8 +278,8 @@ def test_reduced_selected_set_excludes_imaginary_vertices():
             if reachable(d, r) != d.vertices:
                 continue
             outcome = reduce_lob(d, r, d.n)
-            if isinstance(outcome, Reduced):
-                assert outcome.s_vertices <= outcome.digraph.vertices
+            if outcome.report.outcome == "reduced":
+                assert outcome.selected <= outcome.digraph.vertices
 
 
 def test_expand_contraction_round_trip():
@@ -365,3 +364,51 @@ def test_carried_dominator_tree_matches_on_corpora():
     corpus = random_corpus(60, seed=31, n_lo=5, n_hi=12, density=1.4)
     corpus += [grid_digraph(5, 5, seed=s, both_ways_prob=0.3) for s in range(4)]
     assert sum(carried_trees_match_fresh_ones(d) for d in corpus) > 200
+
+
+
+def check_reduction_record(d, k):
+    """reduce_lob's record for every root of d; returns the (outcome,
+    reason) pairs seen."""
+    seen = set()
+    for r in sorted(d.vertices):
+        # a disconnected root is an outcome, not an exception
+        outcome = reduce_lob(d, r, k)
+        report = outcome.report
+        seen.add((report.outcome, report.reason))
+        assert (report.root, report.k) == (r, k)
+        missed = d.vertices - reachable(d, r)
+        assert (report.outcome == "disconnected") == bool(missed)
+        if missed:
+            assert report.unreachable_count == len(missed)
+            assert outcome.digraph is None and outcome.steps is None
+        else:
+            assert report.outcome in ("guaranteed", "reduced")
+            assert report.unreachable_count is None
+        assert ((outcome.forced_arcs is not None)
+                == (report.reason == "multi_cut_count"))
+        assert (outcome.selected is not None) == (report.outcome == "reduced")
+        if outcome.selected is not None:
+            assert outcome.selected <= outcome.digraph.vertices
+            assert report.selected_size == len(outcome.selected)
+    return seen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(labelled_digraphs(max_n=8), st.integers(1, 4))
+@example(Digraph([3, 5, 8], [(3, 5)]), 1)
+def test_reduction_record_matches_its_outcome(d, k):
+    check_reduction_record(d, k)
+
+
+def test_reduction_record_on_corpora_reaches_every_outcome():
+    seen = set()
+    for seed, density in enumerate((1.2, 1.6, 2.0, 3.0, 5.0)):
+        for d in random_corpus(80, seed=400 + seed, n_lo=1, n_hi=8,
+                               density=density):
+            for k in range(1, 5):
+                seen |= check_reduction_record(d, k)
+    # nice_vertex_count needs 24 nice vertices, more than n <= 8 holds
+    assert seen == {("disconnected", None), ("reduced", None),
+                    ("guaranteed", "multi_cut_count"),
+                    ("guaranteed", "high_indegree_count")}

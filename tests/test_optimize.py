@@ -1,6 +1,6 @@
-"""The solver property tests, the incremental-reduction tests and the
-randomized DP test again, under python -O, and a check that the package
-holds no assert at all.
+"""The solver property tests, the incremental-reduction tests, the
+randomized DP test and the long-input and reduction-record tests again,
+under python -O, and a check that the package holds no assert at all.
 
 -O strips every assert from the package, so a check that guards a
 returned answer only holds there if it raises a real exception.
@@ -23,6 +23,13 @@ TESTS = (
     "test_internal_pipeline.py::test_expand_rejects_a_growth_that_loses_witness_arcs",
     "test_leaf_pipeline.py::test_reduction_without_rooted_2connectivity_raises",
     "test_treedp.py::test_dps_match_oracles_on_random_decompositions",
+    "test_digraph.py::test_out_tree_of_a_long_path_builds_in_linear_time",
+    "test_digraph.py::test_out_tree_accepts_and_rejects_as_the_full_walk",
+    "test_oracle.py::test_enum_and_count_agree_on_a_long_path",
+    "test_cli.py::test_verify_kpath_on_a_long_path",
+    "test_leaf_pipeline.py::test_reduction_record_matches_its_outcome",
+    "test_leaf_pipeline.py::test_reduction_record_on_corpora_reaches_every_outcome",
+    "test_internal_pipeline.py::test_root_ends_once_the_whole_digraph_falls_short",
 )
 
 

@@ -30,6 +30,15 @@ def test_enum_single_path():
     assert trees[0].parents == {1: 0, 2: 1}
 
 
+def test_enum_and_count_agree_on_a_long_path():
+    # one parent choice per vertex, 1499 deep: past the recursion limit
+    n = 1500
+    d = Digraph.of(n, [(v, v + 1) for v in range(n - 1)])
+    trees = list(enum_arborescences(d, 0))
+    assert [t.parents for t in trees] == [{v: v - 1 for v in range(1, n)}]
+    assert count_arborescences(d, 0) == 1
+
+
 def test_enum_yields_nothing_when_unreachable():
     d = Digraph.of(3, [(0, 1)])
     assert list(enum_arborescences(d, 0)) == []

@@ -159,14 +159,17 @@ def test_lob_yes_guards_raise(monkeypatch):
 
     def guaranteed(digraph, root, k):
         report = leaf_pipeline.StructureReport(root, k)
-        return leaf_pipeline.GuaranteedYes(root, k, "high_indegree_count",
-                                           digraph, [], frozenset(), report)
+        report.outcome = "guaranteed"
+        report.reason = "high_indegree_count"
+        return leaf_pipeline.Reduction(report, digraph, [], None, None)
 
     monkeypatch.setattr(leaf_pipeline, "reduce_lob", guaranteed)
-    monkeypatch.setattr(leaf_pipeline, "_dp_witness", lambda o: (o.k - 1, K4_PATH))
+    monkeypatch.setattr(leaf_pipeline, "_dp_witness",
+                        lambda o: (o.report.k - 1, K4_PATH))
     with pytest.raises(DPInvariantError, match="solved to 2 < 3"):
         solve_lob(K4, 3, root=0)
-    monkeypatch.setattr(leaf_pipeline, "_dp_witness", lambda o: (o.k, K4_PATH))
+    monkeypatch.setattr(leaf_pipeline, "_dp_witness",
+                        lambda o: (o.report.k, K4_PATH))
     with pytest.raises(DPInvariantError, match="1 leaves, fewer than 3"):
         solve_lob(K4, 3, root=0)
 
