@@ -26,7 +26,7 @@ it from the family's hidden constants.
 import math
 from itertools import combinations
 
-from .digraph import bfs_layers, underlying_graph
+from .digraph import underlying_graph
 from .errors import BudgetError, DPInvariantError
 from .treedp import dp_longest_path
 
@@ -37,8 +37,13 @@ def ball(graph, center, radius):
     """Vertices within undirected distance ``radius`` of ``center``."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    layers, _ = bfs_layers(graph, center)
-    return frozenset().union(*layers[:radius + 1])
+    if center not in graph.vertices:
+        raise ValueError(f"center {center} not in graph")
+    seen, frontier = {center}, {center}
+    for _ in range(radius):
+        frontier = {y for x in frontier for y in graph.neighbors(x)} - seen
+        seen |= frontier
+    return frozenset(seen)
 
 
 class PathSearchResult:

@@ -103,7 +103,7 @@ def _cmd_solve_iob(args):
 
 
 def _cmd_solve_kpath(args):
-    digraph, _ = _load_instance(args)
+    digraph, _ = parse_instance(_read_input(args.input))
     res = solve_kpath_ballcover(digraph, args.k, args.b, budget=args.budget)
     payload = {
         "problem": "kpath",
@@ -203,14 +203,13 @@ def _cmd_bench(args):
     return 0
 
 
-def _add_common(sub, *, instance=True, needs_k=True):
-    if instance:
-        sub.add_argument("--input", required=True,
-                         help="instance file, or - for stdin")
+def _add_common(sub, *, root=True):
+    sub.add_argument("--input", required=True,
+                     help="instance file, or - for stdin")
+    if root:
         sub.add_argument("--root", type=int, default=None,
                          help="root vertex; overrides the file's root line")
-    if needs_k:
-        sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -234,7 +233,7 @@ def build_parser():
     sub.set_defaults(func=_cmd_solve_iob)
 
     sub = commands.add_parser("solve-kpath", help="long directed path")
-    _add_common(sub)
+    _add_common(sub, root=False)
     sub.add_argument("--b", type=int, required=True, help="ball count")
     sub.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     sub.set_defaults(func=_cmd_solve_kpath)
@@ -253,7 +252,6 @@ def build_parser():
     sub.set_defaults(func=_cmd_analyze)
 
     sub = commands.add_parser("generate", help="emit a corpus instance")
-    _add_common(sub, instance=False, needs_k=False)
     sub.add_argument("--family", choices=("grid", "random-sparse"),
                      required=True)
     sub.add_argument("--rows", type=int)
@@ -267,11 +265,11 @@ def build_parser():
     sub.set_defaults(func=_cmd_generate)
 
     sub = commands.add_parser("bench", help="run a benchmark suite")
-    _add_common(sub, instance=False, needs_k=False)
+    sub.add_argument("--format", choices=("json", "csv"), default="csv")
     sub.add_argument("--suite", help="JSON suite file; omit for a sample")
     sub.add_argument("--budget", type=int, default=None)
     sub.add_argument("--output", default="-")
-    sub.set_defaults(func=_cmd_bench, format="csv")
+    sub.set_defaults(func=_cmd_bench)
 
     return parser
 

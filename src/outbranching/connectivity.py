@@ -149,14 +149,12 @@ class CutProfile:
         self.pendant_arcs = pendant_arcs
 
 
-def cut_profile(digraph, root):
-    """Classify cut vertices by how many of their out-neighbors they strand."""
-    return _cut_profile(digraph, root, _idoms(digraph, root, spanning=True))
-
-
-def _cut_profile(digraph, root, idom):
-    """cut_profile on the dominator tree ``idom`` of a digraph the root
-    spans."""
+def cut_profile(digraph, root, idom=None):
+    """Classify cut vertices by how many of their out-neighbors they strand.
+    ``idom`` is the digraph's dominator tree, computed when not given; the
+    root must span the digraph."""
+    if idom is None:
+        idom = _idoms(digraph, root, spanning=True)
     stranded = {}
     for y, x in idom.items():
         if x != root and digraph.has_arc(x, y):
@@ -179,14 +177,12 @@ def high_indegree_vertices(digraph):
                      if digraph.in_degree(v) >= HIGH_INDEGREE)
 
 
-def arcs_disconnecting_two(digraph, root):
+def arcs_disconnecting_two(digraph, root, idom=None):
     """Arcs whose single removal makes >= 2 currently-reachable vertices
-    unreachable from the root."""
-    return _stranding_arcs(digraph, root, _idoms(digraph, root))
-
-
-def _stranding_arcs(digraph, root, idom):
-    """arcs_disconnecting_two on the dominator tree ``idom``."""
+    unreachable from the root. ``idom`` is the digraph's dominator tree,
+    computed when not given."""
+    if idom is None:
+        idom = _idoms(digraph, root)
 
     def dominates(y, p):
         while p != y and p != idom[p]:

@@ -36,9 +36,9 @@ from collections import namedtuple
 
 from .connectivity import (
     _contract_tree,
-    _cut_profile,
     _idoms,
-    _stranding_arcs,
+    arcs_disconnecting_two,
+    cut_profile,
     high_indegree_vertices,
     is_rooted_2connected,
     nice_vertices,
@@ -103,30 +103,24 @@ class StructureReport:
 Reduction = namedtuple("Reduction", "report digraph steps forced_arcs selected")
 
 
-def exhaust_stranding_contractions(digraph, root):
+def exhaust_stranding_contractions(digraph, root, idom=None):
     """Contract arcs stranding >= 2 vertices until none are left.
 
     Returns (digraph, steps); steps holds (graph_before, arc) pairs in
     application order so witnesses can be expanded back later.  Each
-    contraction preserves the maximum leaf count exactly.
+    contraction preserves the maximum leaf count exactly.  A given
+    dominator tree ``idom`` of the digraph is kept current through each
+    contraction, in place, so it ends as the tree of the reduced digraph.
     """
 
-    reduced, steps, _ = _contract_stranding_arcs(digraph, root, _idoms(digraph, root))
-    return reduced, steps
-
-
-def _contract_stranding_arcs(digraph, root, idom):
-    """exhaust_stranding_contractions from the dominator tree ``idom`` of
-    the digraph, also returning the tree of the reduced digraph: the one
-    tree is kept current through each contraction, in place, rather than
-    recomputed."""
-
+    if idom is None:
+        idom = _idoms(digraph, root)
     steps = []
     current = digraph
     while True:
-        arcs = _stranding_arcs(current, root, idom)
+        arcs = arcs_disconnecting_two(current, root, idom)
         if not arcs:
-            return current, steps, idom
+            return current, steps
         arc = min(arcs)
         steps.append((current, arc))
         current = contract_arc_directed(current, arc)
@@ -225,12 +219,12 @@ def reduce_lob(digraph, root, k):
         return Reduction(report, None, None, None, None)
 
     # the root reaches everything, so the tree of the reduced graph spans
-    reduced, steps, idom = _contract_stranding_arcs(digraph, root, idom)
+    reduced, steps = exhaust_stranding_contractions(digraph, root, idom)
     report.contractions = len(steps)
     report.reduced_n = reduced.n
     report.reduced_m = reduced.m
 
-    profile = _cut_profile(reduced, root, idom)
+    profile = cut_profile(reduced, root, idom)
     report.multi_cut_count = len(profile.multi_cut)
     report.single_cut_count = len(profile.single_cut)
 

@@ -1,13 +1,16 @@
+import time
+
 import pytest
 
-from outbranching import Digraph, BudgetError, brute_longest_path, underlying_graph
+from outbranching import (Digraph, BudgetError, bfs_layers, brute_longest_path,
+                          underlying_graph)
 from outbranching.ballcover import (
     PathSearchResult,
     ball,
     solve_kpath_ballcover,
 )
 from outbranching.treedp import dp_longest_path
-from helpers import random_corpus
+from helpers import grid_digraph, random_corpus
 
 
 def test_ball_basics():
@@ -25,6 +28,33 @@ def test_ball_stops_at_component():
     d = Digraph.of(4, [(0, 1), (2, 3)])
     g = underlying_graph(d)
     assert ball(g, 0, 5) == {0, 1}
+
+
+def test_ball_matches_the_first_bfs_layers():
+    graphs = [underlying_graph(grid_digraph(side, side, seed=side))
+              for side in range(3, 9)]
+    graphs += [underlying_graph(d) for d in random_corpus(20, seed=433)]
+    for g in graphs:
+        for center in g.vertices:
+            layers, _ = bfs_layers(g, center)
+            for radius in range(5):
+                assert ball(g, center, radius) == frozenset().union(
+                    *layers[:radius + 1]), (g.edges, center, radius)
+
+
+def test_balls_cost_grows_linearly_on_paths():
+    # every center's ball stops at the radius: 4x the vertices, under 8x
+    # the time (a whole-graph BFS per center grows 16x)
+    def best_of_three(n):
+        path = Digraph.of(n, [(i, i + 1) for i in range(n - 1)])
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert solve_kpath_ballcover(path, 3, 1).satisfiable
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(4000) < 8 * best_of_three(1000)
 
 
 def test_radius_is_ceiling():

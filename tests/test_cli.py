@@ -179,6 +179,24 @@ def test_unknown_root_exit_two(capsys, tmp_path, argv):
     assert err == "error: invalid: root 7 not in digraph\n"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve-kpath", "--root", "7"),
+    ("generate", "--format", "csv"),
+])
+def test_flags_a_subcommand_would_ignore_exit_two(capsys, tmp_path, command,
+                                                  flag, value):
+    # solve-kpath has no root and generate writes only the instance format
+    argv = {"solve-kpath": ("--input", write_instance(tmp_path, PATH4),
+                            "--k", "2", "--b", "1"),
+            "generate": ("--family", "grid", "--rows", "2", "--cols", "2")}
+    assert run(capsys, command, *argv[command])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *argv[command], flag, value])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "solve-lob", "--input",
                        str(tmp_path / "nope.txt"), "--k", "1")

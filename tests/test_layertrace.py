@@ -54,3 +54,18 @@ def test_install_then_uninstall_restores_every_attribute():
         after = vars(owner)
         for name, value in before[id(owner)].items():
             assert after[name] is value, f"{owner!r}.{name} not restored"
+
+
+def test_trace_sees_the_dominator_work_of_a_reduction():
+    layertrace = load_layertrace()
+    tracer = layertrace.Tracer(outbranching)
+    # (0, 1) strands 1, 2 and 3; after it is contracted nothing strands
+    d = Digraph.of(4, [(0, 1), (1, 2), (1, 3)])
+    tracer.install()
+    try:
+        result = outbranching.solve_lob(d, 2, root=0)
+    finally:
+        tracer.uninstall()
+    assert result.reports[0].contractions == 1
+    assert tracer.calls["arcs_disconnecting_two"] >= 1
+    assert tracer.calls["cut_profile"] == 1

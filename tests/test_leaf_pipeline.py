@@ -109,6 +109,15 @@ def test_stranding_contractions_preserve_max_leaves():
     assert checked >= 40
 
 
+def test_a_contraction_can_make_a_new_stranding_arc():
+    # only (0, 1) strands at first; once it is contracted, the merged 0
+    # is 2's only in-neighbour and (0, 2) strands {2, 3}
+    d = Digraph.of(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)])
+    reduced, steps = exhaust_stranding_contractions(d, 0)
+    assert [arc for _, arc in steps] == [(0, 1), (0, 2)]
+    assert sorted(reduced.arcs) == [(0, 3), (0, 4)]
+
+
 def test_duplication_shifts_max_leaves_by_multi_cut_count():
     checked = 0
     for d in random_corpus(60, seed=223, n_lo=4, n_hi=7, density=1.8):

@@ -1,36 +1,37 @@
-"""The solver property tests, the incremental-reduction tests, the
-randomized DP test and the long-input and reduction-record tests again,
-under python -O, and a check that the package holds no assert at all.
+"""The package runs the same under python -O as without it.
 
--O strips every assert from the package, so a check that guards a
-returned answer only holds there if it raises a real exception.
-pytest still rewrites the asserts of the test modules themselves.
+-O does two things: it strips assert statements and sets __debug__ to
+False. So a package that holds no assert, never names __debug__ and
+never reads sys.flags runs the same code either way, and a check that
+guards a returned answer holds under -O too, since it must be a real
+exception. This test scans the package source for all three.
 """
 
 import ast
 import os
-import subprocess
-import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TESTS = (
-    "test_solver_properties.py",
-    "test_connectivity.py::test_idoms_match_definition",
-    "test_leaf_pipeline.py::test_carried_dominator_tree_matches_a_fresh_one",
-    "test_leaf_pipeline.py::test_carried_dominator_tree_matches_on_corpora",
-    "test_digraph.py::test_contraction_matches_a_fresh_digraph",
-    "test_cli.py::test_witness_fault_exit_five",
-    "test_internal_pipeline.py::test_expand_rejects_a_growth_that_loses_witness_arcs",
-    "test_leaf_pipeline.py::test_reduction_without_rooted_2connectivity_raises",
-    "test_treedp.py::test_dps_match_oracles_on_random_decompositions",
-    "test_digraph.py::test_out_tree_of_a_long_path_builds_in_linear_time",
-    "test_digraph.py::test_out_tree_accepts_and_rejects_as_the_full_walk",
-    "test_oracle.py::test_enum_and_count_agree_on_a_long_path",
-    "test_cli.py::test_verify_kpath_on_a_long_path",
-    "test_leaf_pipeline.py::test_reduction_record_matches_its_outcome",
-    "test_leaf_pipeline.py::test_reduction_record_on_corpora_reaches_every_outcome",
-    "test_internal_pipeline.py::test_root_ends_once_the_whole_digraph_falls_short",
-)
+
+
+def optimize_sensitive_lines(source, filename="<source>"):
+    """Line numbers of the constructs whose meaning -O changes: assert
+    statements, the name __debug__, any sys.flags attribute and an import
+    of flags from sys."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Assert):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "flags"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "sys"
+              and any(alias.name == "flags" for alias in node.names)):
+            found.append(node.lineno)
+    return found
 
 
 def test_package_source_has_no_assert():
@@ -41,18 +42,26 @@ def test_package_source_has_no_assert():
             continue
         path = os.path.join(package, name)
         with open(path) as handle:
-            tree = ast.parse(handle.read(), path)
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+            found += [f"{name}:{line}" for line in
+                      optimize_sensitive_lines(handle.read(), path)]
     assert not found, found
 
 
-def test_solver_properties_pass_under_optimize():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src")]
-        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-        + [os.path.join("tests", test) for test in TESTS],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+@pytest.mark.parametrize("source", [
+    "assert x\n",
+    "if __debug__:\n    pass\n",
+    "import sys\nlevel = sys.flags.optimize\n",
+    "from sys import flags\n",
+])
+def test_scan_flags_each_optimize_sensitive_construct(source):
+    assert optimize_sensitive_lines(source)
+
+
+def test_scan_passes_a_clean_snippet():
+    source = ("import sys\n"
+              "from os import path\n"
+              "def check(x, flags):\n"
+              "    if not x:\n"
+              "        raise ValueError(flags.debug)\n"
+              "    return sys.argv, path\n")
+    assert optimize_sensitive_lines(source) == []
