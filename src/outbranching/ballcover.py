@@ -63,8 +63,9 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     Tries every b-subset of vertices in ascending order, induces the
     union of their radius-ceil(k/b) balls, and runs the treewidth path
     DP there, unless the region is too small for k arcs or lies inside
-    a region whose DP fell short of k.  Exact for every b between 1 and
-    n; the subset count is checked against the budget up front.
+    a region whose DP fell short of k.  Each ball is built the first
+    time a subset needs it.  Exact for every b between 1 and n; the
+    subset count is checked against the budget up front.
 
     stats counts the subsets, the DP runs, the regions skipped inside a
     failed region (cache_hits) and those skipped as too small.
@@ -87,11 +88,14 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     if budget is not None and total > budget:
         raise BudgetError("ball-cover subsets", total, budget)
     graph = underlying_graph(digraph)
-    balls = {v: ball(graph, v, radius) for v in digraph.vertices}
+    balls = {}
     # regions whose DP fell short of k, none inside another
     failed = []
     for centers in combinations(sorted(digraph.vertices), b):
         stats["subsets"] += 1
+        for c in centers:
+            if c not in balls:
+                balls[c] = ball(graph, c, radius)
         region = frozenset().union(*(balls[c] for c in centers))
         if len(region) < k + 1:
             stats["skipped_small"] += 1

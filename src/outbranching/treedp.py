@@ -4,10 +4,11 @@ One engine, _TreeEngine, solves three optimizations: maximum-leaf
 spanning branchings, maximum-internal out-trees (optionally under a size
 cap), and longest directed paths, which are the rootless out-trees in
 which no vertex has two children.  Each underlying undirected edge of
-the host digraph is handled at exactly one op of the nice decomposition
-(the first op in its list whose bag contains both endpoints), so an arc
-can never be committed twice and an in-degree violation shows up as a
-dead state instead of a silent double count.
+the host digraph is handled at exactly one op of the nice decomposition,
+right before the forget of whichever endpoint goes first, so an arc is
+chosen as late as possible and the forget merges the choices at once.
+An arc can never be committed twice, and an in-degree violation shows up
+as a dead state instead of a silent double count.
 
 A state records how a partial solution meets the current bag: a partition
 of the in-bag solution vertices into connected fragments plus per-vertex
@@ -345,7 +346,8 @@ class _TreeEngine:
 
 
 def _execute(digraph, nice, engine):
-    """Run an engine down the nice ops, splicing in edge steps.
+    """Run an engine down the nice ops, splicing in an edge step for each
+    underlying edge right before the forget of its first endpoint.
 
     ``nice`` defaults to the min-fill decomposition of the underlying
     graph.  Finished steps wait on a stack: a join pops its left operand
@@ -367,19 +369,24 @@ def _execute(digraph, nice, engine):
             child = done.pop()
             step = _Step(kind, (child,), *engine.introduce(child.table, bag, v))
             covered.add(v)
-            # Leaves have empty bags, and a forget or join op's bag lies
-            # inside the bag of an op before it, so the first op whose bag
-            # holds both ends of an edge introduces one of them.
+        elif kind == FORGET:
+            # Each edge runs on the child's bag just before its first
+            # endpoint is forgotten, so its arc choice is made as late as
+            # possible.  The other endpoint w is still in that bag: the
+            # bags holding v form a subtree topped by this child, the bags
+            # holding w one topped below w's later forget, and the two
+            # meet, so the lower top, this child, holds w too.
+            step = done.pop()
+            p = bisect_left(bag, v)
+            child_bag = bag[:p] + (v,) + bag[p:]
             nb = ug.neighbors(v)
             for e in sorted((min(v, x), max(v, x)) for x in bag if x in nb):
                 if e not in assigned:
                     assigned.add(e)
-                    step = _Step(EDGE, (step,), *engine.edge(step.table, bag, e))
+                    step = _Step(EDGE, (step,), *engine.edge(step.table, child_bag, e))
                     if engine.hit is not None:
                         return step
-        elif kind == FORGET:
-            child = done.pop()
-            step = _Step(kind, (child,), *engine.forget(child.table, bag, v))
+            step = _Step(kind, (step,), *engine.forget(step.table, bag, v))
         elif kind == JOIN:
             left = done.pop()
             right = done.pop()

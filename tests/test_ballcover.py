@@ -4,6 +4,7 @@ import pytest
 
 from outbranching import (Digraph, BudgetError, bfs_layers, brute_longest_path,
                           underlying_graph)
+from outbranching import ballcover
 from outbranching.ballcover import (
     PathSearchResult,
     ball,
@@ -55,6 +56,22 @@ def test_balls_cost_grows_linearly_on_paths():
         return min(times)
 
     assert best_of_three(4000) < 8 * best_of_three(1000)
+
+
+def test_balls_are_built_when_a_subset_first_needs_them(monkeypatch):
+    # a yes at the first subset builds only its center's ball
+    built = []
+
+    def counting_ball(graph, center, radius):
+        built.append(center)
+        return ball(graph, center, radius)
+
+    monkeypatch.setattr(ballcover, "ball", counting_ball)
+    n = 500
+    path = Digraph.of(n, [(i, i + 1) for i in range(n - 1)])
+    res = solve_kpath_ballcover(path, 3, 1)
+    assert res.satisfiable and res.stats["hit_subset"] == (0,)
+    assert built == [0]
 
 
 def test_radius_is_ceiling():

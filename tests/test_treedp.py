@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,6 +17,7 @@ from outbranching import (
     underlying_graph,
     validate_out_tree,
 )
+from outbranching.generators import generate, grid_spec
 from outbranching.treedp import (
     EDGE,
     _collect_arcs,
@@ -26,6 +28,7 @@ from outbranching.treedp import (
     dp_max_leaves,
 )
 from outbranching.treewidth import (
+    FORGET,
     JOIN,
     decomposition_from_ordering,
     exact_treewidth_small,
@@ -226,6 +229,74 @@ def test_target_stops_at_the_first_step_with_a_long_fragment():
                 assert engine.calls == first + 1, (d.arcs, target)
                 stops += 1
     assert stops >= 60
+
+
+class _RecordingEngine(_TreeEngine):
+    """A _TreeEngine that records, per output table, the edge or the
+    forgotten vertex of the op that built it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made_by = {}
+
+    def edge(self, tin, bag, e):
+        table, back = super().edge(tin, bag, e)
+        self.made_by[id(table)] = e
+        return table, back
+
+    def forget(self, tin, bag, v):
+        table, back = super().forget(tin, bag, v)
+        self.made_by[id(table)] = v
+        return table, back
+
+
+def _parents(top):
+    """{id(step): the step that consumed it} below top."""
+    parent, stack = {}, [top]
+    while stack:
+        step = stack.pop()
+        for prev in step.prev:
+            parent[id(prev)] = step
+            stack.append(prev)
+    return parent
+
+
+def test_each_edge_runs_right_before_its_first_endpoint_is_forgotten():
+    rng = random.Random(149)
+    checked = 0
+    for d in random_corpus(40, seed=149, n_lo=2, n_hi=8, density=2.0):
+        ug = underlying_graph(d)
+        order = sorted(d.vertices)
+        rng.shuffle(order)
+        for nice in (None, make_nice(decomposition_from_ordering(ug, order))):
+            for root in (min(d.vertices), None):
+                engine = _RecordingEngine(d, root, spanning=root is not None)
+                top = _execute(d, nice, engine)
+                parent = _parents(top)
+                edges = []
+                for step in _steps_in_run_order(top):
+                    if step.kind != EDGE:
+                        continue
+                    e = engine.made_by[id(step.table)]
+                    edges.append(e)
+                    above = parent[id(step)]
+                    while above.kind == EDGE:
+                        above = parent[id(above)]
+                    assert above.kind == FORGET, (d.arcs, e, above.kind)
+                    assert engine.made_by[id(above.table)] in e, (d.arcs, e)
+                    checked += 1
+                assert sorted(edges) == sorted(ug.edges), d.arcs
+    assert checked >= 500
+
+
+def test_late_edges_shrink_the_max_leaves_tables():
+    # the states kept over every step of the max-leaves DP on a 6x6 grid
+    # (p2=0.7, root 0, min-fill): 110 718 with each edge right after the
+    # introduce that first puts both ends in a bag, 73 664 with each edge
+    # right before its first endpoint's forget
+    d = generate(grid_spec(6, p2=0.7))
+    top = _execute(d, None, _TreeEngine(d, 0, spanning=True))
+    assert sum(len(step.table) for step in _steps_in_run_order(top)) < 90_000
 
 
 def test_longest_path_on_grid():
