@@ -7,9 +7,10 @@ estimates of the underlying graph before and after deleting that set.
 The headline number is tw / sqrt(|S|), which a sound reduction keeps
 bounded on sparse planar-like families.
 
-bench() runs the three solvers over generated instances and collects
-rows suitable for CSV; budget blowups become per-row error entries
-rather than aborting the run.
+solve() is the one place that maps a problem name to its solver.
+bench() runs it over generated instances and collects rows suitable for
+CSV; budget blowups become per-row error entries rather than aborting
+the run.
 """
 
 import csv
@@ -30,6 +31,24 @@ ANALYZE_FIELDS = (
     "multi_cut", "single_cut", "k_effective", "s_size",
     "tw_input", "tw_reduced", "tw_residual", "ratio",
 )
+
+
+def solve(problem, digraph, k, root=None, b=None, budget=None, witness=True):
+    """Run the solver for problem "lob", "iob" or "kpath" and return its result.
+
+    lob and iob take root (None scans every root) and witness; kpath
+    takes b and always returns its path. iob and kpath take budget, and
+    None means the solver's own default. Arguments the problem does not
+    take are ignored.
+    """
+    if problem == "lob":
+        return solve_lob(digraph, k, root=root, witness=witness)
+    kwargs = {} if budget is None else {"budget": budget}
+    if problem == "iob":
+        return solve_iob(digraph, k, root=root, witness=witness, **kwargs)
+    if problem == "kpath":
+        return solve_kpath_ballcover(digraph, k, b, **kwargs)
+    raise ValueError(f"unknown problem {problem!r}")
 
 
 def analyze(digraph, root, k):
@@ -122,9 +141,11 @@ def bench(suite, budget=None):
     root, a k below 1, a b outside 1..n or a root outside the generated
     digraph, or a spec GeneratorSpec rejects raises
     ValueError("suite entry <i>: ...") before anything runs.
-    Budget failures land in the row's error column and the run keeps
-    going.
+    A suite that is not a list raises ValueError too. Budget failures
+    land in the row's error column and the run keeps going.
     """
+    if not isinstance(suite, list):
+        raise ValueError(f"suite must be a list of entries, got {type(suite).__name__}")
     specs = []
     for index, entry in enumerate(suite):
         try:
@@ -151,22 +172,16 @@ def bench(suite, budget=None):
         })
         start = time.perf_counter()
         try:
-            if problem == "lob":
-                res = solve_lob(digraph, k, root=root, witness=False)
-                row["answer"] = res.satisfiable
-                row["outcome"] = res.reports[-1].outcome if res.reports else None
-            elif problem == "iob":
-                kwargs = {} if budget is None else {"budget": budget}
-                res = solve_iob(digraph, k, root=root, witness=False, **kwargs)
-                row["answer"] = res.satisfiable
-                if res.reports:
-                    row["outcome"] = res.reports[-1]["outcome"]
-                    row["collection_size"] = res.reports[-1]["collection_size"]
-            else:
-                kwargs = {} if budget is None else {"budget": budget}
-                res = solve_kpath_ballcover(digraph, k, entry["b"], **kwargs)
-                row["answer"] = res.satisfiable
+            res = solve(problem, digraph, k, root=root, b=entry.get("b"),
+                        budget=budget, witness=False)
+            row["answer"] = res.satisfiable
+            if problem == "kpath":
                 row["outcome"] = "hit" if res.satisfiable else "exhausted"
+            elif problem == "lob" and res.reports:
+                row["outcome"] = res.reports[-1].outcome
+            elif res.reports:
+                row["outcome"] = res.reports[-1]["outcome"]
+                row["collection_size"] = res.reports[-1]["collection_size"]
         except BudgetError as exc:
             row["error"] = str(exc)
         row["time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)

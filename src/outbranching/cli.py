@@ -17,10 +17,7 @@ import sys
 from .digraph import ParseError, parse_instance, serialize_instance
 from .errors import BudgetError, DPInvariantError
 from .oracle import brute_max_leaves, brute_max_internal, brute_longest_path
-from .leaf_pipeline import solve_lob
-from .internal_pipeline import solve_iob, DEFAULT_COLLECTION_BUDGET
-from .ballcover import solve_kpath_ballcover, DEFAULT_SUBSET_BUDGET
-from .analysis import analyze, bench, rows_to_csv, ANALYZE_FIELDS
+from .analysis import analyze, bench, rows_to_csv, solve
 from .generators import GeneratorSpec, generate
 
 
@@ -33,8 +30,8 @@ def _read_input(path):
 
 def _load_instance(args):
     digraph, file_root = parse_instance(_read_input(args.input))
-    root = args.root if args.root is not None else file_root
-    return digraph, root
+    flag = getattr(args, "root", None)
+    return digraph, file_root if flag is None else flag
 
 
 def _tree_payload(tree):
@@ -55,10 +52,7 @@ def _write(text, path="-"):
 def _emit(payload, fmt, path="-"):
     if fmt == "csv":
         rows = payload if isinstance(payload, list) else [payload]
-        if rows and set(rows[0]) == set(ANALYZE_FIELDS):
-            fields = ANALYZE_FIELDS
-        else:
-            fields = list(rows[0]) if rows else []
+        fields = list(rows[0]) if rows else []
         flat = []
         for row in rows:
             flat.append({
@@ -71,81 +65,49 @@ def _emit(payload, fmt, path="-"):
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
-def _cmd_solve_lob(args):
+def _cmd_solve(args):
     digraph, root = _load_instance(args)
-    res = solve_lob(digraph, args.k, root=root, witness=not args.no_witness)
-    payload = {
-        "problem": "lob",
-        "answer": res.satisfiable,
-        "k": args.k,
-        "root": res.root,
-        "witness": _tree_payload(res.witness),
-        "reports": [r.as_dict() for r in res.reports],
-    }
-    _emit(payload, args.format)
-    return 0
-
-
-def _cmd_solve_iob(args):
-    digraph, root = _load_instance(args)
-    res = solve_iob(digraph, args.k, root=root, budget=args.budget,
-                    witness=not args.no_witness)
-    payload = {
-        "problem": "iob",
-        "answer": res.satisfiable,
-        "k": args.k,
-        "root": res.root,
-        "witness": _tree_payload(res.witness),
-        "reports": res.reports,
-    }
-    _emit(payload, args.format)
-    return 0
-
-
-def _cmd_solve_kpath(args):
-    digraph, _ = parse_instance(_read_input(args.input))
-    res = solve_kpath_ballcover(digraph, args.k, args.b, budget=args.budget)
-    payload = {
-        "problem": "kpath",
-        "answer": res.satisfiable,
-        "k": args.k,
-        "b": args.b,
-        "path": res.witness,
-        "stats": {key: value for key, value in res.stats.items()
-                  if key != "hit_subset"},
-    }
+    res = solve(args.problem, digraph, args.k, root=root,
+                b=getattr(args, "b", None), budget=getattr(args, "budget", None),
+                witness=not getattr(args, "no_witness", False))
+    payload = {"problem": args.problem, "answer": res.satisfiable, "k": args.k}
+    if args.problem == "kpath":
+        payload["b"] = args.b
+        payload["path"] = res.witness
+        payload["stats"] = {key: value for key, value in res.stats.items()
+                            if key != "hit_subset"}
+    else:
+        payload["root"] = res.root
+        payload["witness"] = _tree_payload(res.witness)
+        payload["reports"] = res.reports
+        if args.problem == "lob":
+            payload["reports"] = [r.as_dict() for r in res.reports]
     _emit(payload, args.format)
     return 0
 
 
 def _oracle_answer(problem, digraph, k, root):
-    if problem == "lob":
-        def reach(r):
-            best = brute_max_leaves(digraph, r)
-            return best is not None and best >= k
-    elif problem == "iob":
-        def reach(r):
-            best = brute_max_internal(digraph, r)
-            return best is not None and best >= k
-    else:
-        best, _ = brute_longest_path(digraph)
-        return best >= k
+    if problem == "kpath":
+        return brute_longest_path(digraph)[0] >= k
+    brute = brute_max_leaves if problem == "lob" else brute_max_internal
     roots = [root] if root is not None else sorted(digraph.vertices)
-    return any(reach(r) for r in roots)
+    scores = (brute(digraph, r) for r in roots)
+    return any(best is not None and best >= k for best in scores)
+
+
+# verify flags that each problem's solver does not take
+_VERIFY_UNUSED = {"lob": ("b", "budget"), "iob": ("b",), "kpath": ("root",)}
 
 
 def _cmd_verify(args):
     digraph, root = _load_instance(args)
-    if args.problem == "lob":
-        solver = solve_lob(digraph, args.k, root=root).satisfiable
-    elif args.problem == "iob":
-        solver = solve_iob(digraph, args.k, root=root,
-                           budget=args.budget).satisfiable
-    else:
-        if args.b is None:
-            raise ValueError("--b is required for --problem kpath")
-        solver = solve_kpath_ballcover(digraph, args.k, args.b,
-                                       budget=args.budget).satisfiable
+    for flag in _VERIFY_UNUSED[args.problem]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to --problem {args.problem}")
+    if args.problem == "kpath" and args.b is None:
+        raise ValueError("--b is required for --problem kpath")
+    solver = solve(args.problem, digraph, args.k, root=root, b=args.b,
+                   budget=args.budget, witness=False).satisfiable
     oracle = _oracle_answer(args.problem, digraph, args.k, root)
     payload = {
         "problem": args.problem,
@@ -223,20 +185,20 @@ def build_parser():
     sub = commands.add_parser("solve-lob", help="many-leaf spanning out-tree")
     _add_common(sub)
     sub.add_argument("--no-witness", action="store_true")
-    sub.set_defaults(func=_cmd_solve_lob)
+    sub.set_defaults(func=_cmd_solve, problem="lob")
 
     sub = commands.add_parser("solve-iob",
                               help="many-internal spanning out-tree")
     _add_common(sub)
     sub.add_argument("--no-witness", action="store_true")
-    sub.add_argument("--budget", type=int, default=DEFAULT_COLLECTION_BUDGET)
-    sub.set_defaults(func=_cmd_solve_iob)
+    sub.add_argument("--budget", type=int, default=None)
+    sub.set_defaults(func=_cmd_solve, problem="iob")
 
     sub = commands.add_parser("solve-kpath", help="long directed path")
     _add_common(sub, root=False)
     sub.add_argument("--b", type=int, required=True, help="ball count")
-    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    sub.set_defaults(func=_cmd_solve_kpath)
+    sub.add_argument("--budget", type=int, default=None)
+    sub.set_defaults(func=_cmd_solve, problem="kpath")
 
     sub = commands.add_parser("verify",
                               help="cross-check a solver against the oracle")
@@ -288,7 +250,7 @@ def main(argv=None):
     except DPInvariantError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 5
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

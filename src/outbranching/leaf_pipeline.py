@@ -359,8 +359,7 @@ def solve_lob(digraph, k, root=None, witness=True):
         raise ValueError(f"root {root} not in digraph")
     n = digraph.n
     reports = []
-    if n == 0:
-        return SearchResult(False, k, None, None, reports)
+    # most leaves a spanning out-tree can have; -1 with no vertices
     cap = 1 if n == 1 else n - 1
     if k > cap:
         return SearchResult(False, k, None, None, reports)

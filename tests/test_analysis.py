@@ -1,3 +1,5 @@
+import pytest
+
 from outbranching import Digraph
 from outbranching.analysis import (
     ANALYZE_FIELDS,
@@ -5,6 +7,7 @@ from outbranching.analysis import (
     analyze,
     bench,
     rows_to_csv,
+    solve,
 )
 from outbranching.generators import GeneratorSpec, generate, grid_spec
 from outbranching.internal_pipeline import build_partitions, collection_size
@@ -71,6 +74,15 @@ def test_guaranteed_outcome_report():
     assert report["outcome"] == "guaranteed_yes:high_indegree_count"
     assert report["alpha"] == 6
     assert report["s_size"] is None
+
+
+def test_solve_dispatches_each_problem_and_rejects_others():
+    path = Digraph.of(4, [(0, 1), (1, 2), (2, 3)])
+    assert solve("lob", path, 1, root=0).witness.root == 0
+    assert solve("iob", path, 3, root=0).satisfiable
+    assert solve("kpath", path, 3, b=1).witness == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="unknown problem 'tsp'"):
+        solve("tsp", path, 1)
 
 
 def test_bench_empty_suite():

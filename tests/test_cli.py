@@ -1,10 +1,11 @@
+import inspect
 import json
 import re
 
 import pytest
 
-from outbranching import (OutTree, cli, leaf_pipeline, parse_instance, treedp,
-                          validate_out_tree)
+from outbranching import (OutTree, analysis, cli, leaf_pipeline, parse_instance,
+                          treedp, validate_out_tree)
 
 
 def run(capsys, *argv):
@@ -110,7 +111,7 @@ def test_verify_mismatch_exits_four(capsys, tmp_path, monkeypatch):
     class Fake:
         satisfiable = False
 
-    monkeypatch.setattr(cli, "solve_lob", lambda *a, **kw: Fake())
+    monkeypatch.setattr(cli, "solve", lambda *a, **kw: Fake())
     code, out, err = run(capsys, "verify", "--input", path, "--k", "3",
                          "--problem", "lob")
     assert code == 4
@@ -197,6 +198,124 @@ def test_flags_a_subcommand_would_ignore_exit_two(capsys, tmp_path, command,
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
+@pytest.mark.parametrize("problem, flag, value", [
+    ("kpath", "--root", "2"),
+    ("lob", "--b", "2"),
+    ("iob", "--b", "2"),
+    ("lob", "--budget", "5"),
+])
+def test_verify_rejects_a_flag_the_solver_would_ignore(capsys, tmp_path, problem,
+                                                       flag, value):
+    path = write_instance(tmp_path, PATH4)
+    argv = ["verify", "--input", path, "--problem", problem, "--k", "2"]
+    if problem == "kpath":
+        argv += ["--b", "1"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid: {flag} does not apply to --problem {problem}\n"
+
+
+def test_verify_kpath_keeps_a_root_line_of_the_file(capsys, tmp_path):
+    path = write_instance(tmp_path, PATH4 + "root 2\n")
+    code, out, err = run(capsys, "verify", "--input", path, "--problem",
+                         "kpath", "--k", "3", "--b", "1")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["root"] == 2 and payload["match"] is True
+
+
+def recorded_solves(monkeypatch):
+    """Swap analysis.solve, under both names that bind it, for a recorder
+    that runs the real dispatch and keeps each call's arguments."""
+    calls = []
+    real = analysis.solve
+
+    def recorder(problem, digraph, k, root=None, b=None, budget=None,
+                 witness=True):
+        calls.append((problem, root, b, budget, witness))
+        return real(problem, digraph, k, root=root, b=b, budget=budget,
+                    witness=witness)
+
+    monkeypatch.setattr(cli, "solve", recorder)
+    monkeypatch.setattr(analysis, "solve", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("solve-lob", "--k", "2"), ("lob", 0, None, None, True)),
+    (("solve-lob", "--k", "2", "--root", "1", "--no-witness"),
+     ("lob", 1, None, None, False)),
+    (("solve-iob", "--k", "2", "--budget", "9"), ("iob", 0, None, 9, True)),
+    (("solve-iob", "--k", "2", "--no-witness"), ("iob", 0, None, None, False)),
+    (("solve-kpath", "--k", "2", "--b", "1"), ("kpath", 0, 1, None, True)),
+    (("solve-kpath", "--k", "2", "--b", "2", "--budget", "9"),
+     ("kpath", 0, 2, 9, True)),
+    (("verify", "--problem", "lob", "--k", "2"), ("lob", 0, None, None, False)),
+    (("verify", "--problem", "iob", "--k", "2", "--root", "1", "--budget", "9"),
+     ("iob", 1, None, 9, False)),
+    (("verify", "--problem", "kpath", "--k", "2", "--b", "1"),
+     ("kpath", 0, 1, None, False)),
+])
+def test_every_command_solves_through_one_dispatch(capsys, tmp_path, monkeypatch,
+                                                   argv, expected):
+    calls = recorded_solves(monkeypatch)
+    path = write_instance(tmp_path, PATH4 + "root 0\n")
+    code, _, err = run(capsys, argv[0], "--input", path, *argv[1:])
+    assert code == 0, err
+    assert calls == [expected]
+
+
+def test_bench_solves_through_one_dispatch(capsys, tmp_path, monkeypatch):
+    calls = recorded_solves(monkeypatch)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"spec": GRID, "problem": "lob", "k": 1, "root": 0},
+        {"spec": GRID, "problem": "iob", "k": 1},
+        {"spec": GRID, "problem": "kpath", "k": 2, "b": 2},
+    ]))
+    code, _, err = run(capsys, "bench", "--suite", str(suite), "--budget", "99")
+    assert code == 0, err
+    assert calls == [("lob", 0, None, 99, False), ("iob", None, None, 99, False),
+                     ("kpath", None, 2, 99, False)]
+
+
+def test_verify_without_budget_uses_the_solver_defaults(capsys, tmp_path,
+                                                        monkeypatch):
+    # verify used to pass budget=None, which switches the budget off
+    solvers = (analysis.solve_iob, analysis.solve_kpath_ballcover)
+    budgets = []
+    for real in solvers:
+        def recorder(*args, real=real, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            budgets.append(bound.arguments["budget"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, real.__name__, recorder)
+    path = write_instance(tmp_path, PATH4)
+    for extra in (("--problem", "iob"), ("--problem", "kpath", "--b", "1")):
+        code, _, err = run(capsys, "verify", "--input", path, "--k", "2", *extra)
+        assert code == 0, err
+    defaults = [inspect.signature(f).parameters["budget"].default for f in solvers]
+    assert None not in defaults
+    assert budgets == defaults
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve-lob", "--k", "1", "--input", "{dir}"),
+    ("generate", "--family", "grid", "--rows", "2", "--cols", "2",
+     "--output", "{dir}"),
+    ("bench", "--suite", "{dir}"),
+])
+def test_a_directory_for_a_file_exits_two(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: io:") and err.count("\n") == 1
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "solve-lob", "--input",
                        str(tmp_path / "nope.txt"), "--k", "1")
@@ -277,6 +396,17 @@ def test_bench_suite_missing_key_exit_two(capsys, tmp_path, entries, message):
     assert code == 2
     assert out == ""
     assert err == f"error: invalid: {message}\n"
+
+
+@pytest.mark.parametrize("suite, kind", [(5, "int"), (None, "NoneType"),
+                                         ({"a": 1}, "dict")])
+def test_bench_suite_not_a_list_exit_two(capsys, tmp_path, suite, kind):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    code, out, err = run(capsys, "bench", "--suite", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid: suite must be a list of entries, got {kind}\n"
 
 
 GRID = {"family": "grid", "rows": 2, "cols": 2}

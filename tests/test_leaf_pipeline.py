@@ -69,6 +69,8 @@ def test_solve_infeasible_k_short_circuits():
     res = solve_lob(d, 5, root=0)
     assert not res.satisfiable
     assert res.reports == []
+    empty = solve_lob(Digraph.of(0, []), 1)
+    assert not empty.satisfiable and empty.reports == []
 
 
 def test_solve_single_vertex():
