@@ -106,6 +106,9 @@ def _check_entry(entry):
             raise ValueError(f"missing {key!r}")
     if problem not in ("lob", "iob", "kpath"):
         raise ValueError(f"unknown problem {problem!r}")
+    unused = "root" if problem == "kpath" else "b"
+    if entry.get(unused) is not None:
+        raise ValueError(f"{unused!r} does not apply to problem {problem!r}")
     if entry.get("root") is not None:
         numbers += ("root",)
     for key in numbers:
@@ -135,11 +138,12 @@ def bench(suite, budget=None):
     """Run the suite and return result rows, one per suite entry.
 
     Each entry is a dict: {"spec": GeneratorSpec or kwargs dict,
-    "problem": "lob"|"iob"|"kpath", "k": int, "root": int (solvers),
-    "b": int (kpath only)}; a root may also be absent or None. An entry
-    that lacks a key, names an unknown problem, has a non-integer k, b or
-    root, a k below 1, a b outside 1..n or a root outside the generated
-    digraph, or a spec GeneratorSpec rejects raises
+    "problem": "lob"|"iob"|"kpath", "k": int, "root": int (lob and iob
+    only), "b": int (kpath only)}; a root may also be absent or None. An
+    entry that lacks a key, names an unknown problem, has a root with
+    kpath or a b with lob or iob, has a non-integer k, b or root, a k
+    below 1, a b outside 1..n or a root outside the generated digraph, or
+    a spec GeneratorSpec rejects raises
     ValueError("suite entry <i>: ...") before anything runs.
     A suite that is not a list raises ValueError too. Budget failures
     land in the row's error column and the run keeps going.

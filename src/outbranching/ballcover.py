@@ -47,12 +47,10 @@ def ball(graph, center, radius):
 
 
 class PathSearchResult:
-    __slots__ = ("satisfiable", "k", "b", "witness", "stats")
+    __slots__ = ("satisfiable", "witness", "stats")
 
-    def __init__(self, satisfiable, k, b, witness, stats):
+    def __init__(self, satisfiable, witness, stats):
         self.satisfiable = satisfiable
-        self.k = k
-        self.b = b
         self.witness = witness
         self.stats = stats
 
@@ -113,5 +111,5 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
         for u, v in zip(path, path[1:]):
             if not digraph.has_arc(u, v):
                 raise DPInvariantError(f"path witness uses ({u}, {v}), not an arc")
-        return PathSearchResult(True, k, b, list(path), stats)
-    return PathSearchResult(False, k, b, None, stats)
+        return PathSearchResult(True, list(path), stats)
+    return PathSearchResult(False, None, stats)

@@ -126,26 +126,22 @@ def is_rooted_2connected(digraph, root):
 
 class CutProfile:
     """Cut structure of a rooted digraph, field by field:
-      cut_vertices: every x != r whose deletion strands some vertex.
-      stranded: {x: frozenset of out-neighbors of x unreachable without x}.
+      stranded: {x: frozenset of out-neighbors of x unreachable without x},
+        one key per cut vertex x, i.e. every x != r whose deletion strands
+        some vertex.
       multi_cut: cut vertices stranding >= 2 of their own out-neighbors.
       single_cut: cut vertices stranding exactly 1.
-      forced_arcs: arcs from multi_cut vertices into their stranded
-        out-neighbors; any spanning out-tree can be rewired to contain them.
-      pendant_arcs: the single_cut analogue, one arc per vertex; after the
-        stranding-arc contraction phase these form a matching.
+      pendant_arcs: the arc from each single_cut vertex into the vertex it
+        strands; after the stranding-arc contraction phase these form a
+        matching.
     """
 
-    __slots__ = ("cut_vertices", "stranded", "multi_cut", "single_cut",
-                 "forced_arcs", "pendant_arcs")
+    __slots__ = ("stranded", "multi_cut", "single_cut", "pendant_arcs")
 
-    def __init__(self, cut_vertices, stranded, multi_cut, single_cut,
-                 forced_arcs, pendant_arcs):
-        self.cut_vertices = cut_vertices
+    def __init__(self, stranded, multi_cut, single_cut, pendant_arcs):
         self.stranded = stranded
         self.multi_cut = multi_cut
         self.single_cut = single_cut
-        self.forced_arcs = forced_arcs
         self.pendant_arcs = pendant_arcs
 
 
@@ -161,9 +157,8 @@ def cut_profile(digraph, root, idom=None):
             stranded[x] = stranded.get(x, frozenset()) | {y}
     multi = frozenset(x for x, ys in stranded.items() if len(ys) >= 2)
     single = frozenset(x for x, ys in stranded.items() if len(ys) == 1)
-    forced = frozenset((x, y) for x in multi for y in stranded[x])
     pendant = frozenset((x, y) for x in single for y in stranded[x])
-    return CutProfile(frozenset(stranded), stranded, multi, single, forced, pendant)
+    return CutProfile(stranded, multi, single, pendant)
 
 
 def nice_vertices(digraph):

@@ -328,11 +328,10 @@ class SearchResult:
     """Outcome of a spanning out-tree search: the first root that
     succeeded, its witness if requested, and one report per root tried."""
 
-    __slots__ = ("satisfiable", "k", "root", "witness", "reports")
+    __slots__ = ("satisfiable", "root", "witness", "reports")
 
-    def __init__(self, satisfiable, k, root, witness, reports):
+    def __init__(self, satisfiable, root, witness, reports):
         self.satisfiable = satisfiable
-        self.k = k
         self.root = root
         self.witness = witness
         self.reports = reports

@@ -145,8 +145,9 @@ def expand_minimal_tree(digraph, root, tree):
     return grown
 
 
-def _solve_one_root(digraph, k, root, budget):
-    """Search the layered collection for one root.
+def _solve_one_root(digraph, graph, k, root, budget):
+    """Search the layered collection for one root; graph is the
+    digraph's underlying graph.
 
     Returns (report, tree-or-None); the tree is an r-out-tree with at
     least k internal vertices inside the digraph, not yet expanded.
@@ -166,7 +167,7 @@ def _solve_one_root(digraph, k, root, budget):
     if k > digraph.n - 1:
         report["outcome"] = "infeasible_k"
         return report, None
-    parts = build_partitions(underlying_graph(digraph), root, k)
+    parts = build_partitions(graph, root, k)
     report["collection_size"] = collection_size(parts, root, k)
     cap = witness_size_cap(k)
     for done, (index, kept, sub) in enumerate(
@@ -202,9 +203,10 @@ def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
     if root is not None and root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
     roots = [root] if root is not None else sorted(digraph.vertices)
+    graph = underlying_graph(digraph)
     reports = []
     for r in roots:
-        report, tree = _solve_one_root(digraph, k, r, budget)
+        report, tree = _solve_one_root(digraph, graph, k, r, budget)
         reports.append(report)
         if tree is None:
             continue
@@ -215,5 +217,5 @@ def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
                 raise DPInvariantError(
                     f"witness has {len(grown.internal_vertices())} internal "
                     f"vertices, fewer than {k}")
-        return SearchResult(True, k, r, grown, reports)
-    return SearchResult(False, k, None, None, reports)
+        return SearchResult(True, r, grown, reports)
+    return SearchResult(False, None, None, reports)

@@ -11,8 +11,7 @@ chain of structure-preserving rewrites:
    pairwise disjoint.
 2. Classify cut vertices by how many of their own out-neighbors they
    strand.  If at least k of them strand two or more, a witness with k
-   leaves always exists and one is built directly by rewiring a breadth
-   first branching.
+   leaves always exists, and the breadth first branching is one.
 3. Otherwise duplicate each multi-stranding cut vertex (the copy takes
    the originals' arcs but no arcs among copies), contract the remaining
    single-stranding arcs, and land on a rooted 2-connected digraph.  On
@@ -96,11 +95,10 @@ class StructureReport:
 
 
 # What reduce_lob found for one root. report.outcome says which ending:
-# "disconnected" (digraph, steps, forced_arcs and selected are None),
-# "guaranteed" or "reduced". digraph is the input after the stranding
-# contractions recorded in steps; forced_arcs is set only for the
-# "multi_cut_count" reason and selected, the set S, only for "reduced".
-Reduction = namedtuple("Reduction", "report digraph steps forced_arcs selected")
+# "disconnected" (digraph, steps and selected are None), "guaranteed" or
+# "reduced". digraph is the input after the stranding contractions
+# recorded in steps; selected, the set S, is set only for "reduced".
+Reduction = namedtuple("Reduction", "report digraph steps selected")
 
 
 def exhaust_stranding_contractions(digraph, root, idom=None):
@@ -129,31 +127,15 @@ def exhaust_stranding_contractions(digraph, root, idom=None):
 
 def bfs_branching(digraph, root):
     """Deterministic breadth first spanning branching; raises ValueError
-    unless the root reaches every vertex."""
+    unless the root reaches every vertex.
 
-    return grow_breadth_first(digraph, OutTree(root, {}))
-
-
-def force_cut_arcs(digraph, root, tree, forced):
-    """Rewire a spanning branching to contain every forced arc.
-
-    Each forced arc (x, y) runs from a cut vertex into a vertex that only
-    x can reach, so x is an ancestor of y in any branching and swapping
-    y's parent arc for (x, y) keeps the tree valid.  The heads of forced
-    arcs are pairwise distinct, so no swap undoes an earlier one, and no
-    swap loses a leaf: x strands something, hence is internal already.
+    It holds every arc (x, y) with x the immediate dominator of y, so
+    every arc from a cut vertex into a vertex it strands: each other
+    in-neighbor of y is dominated by x, hence lies deeper than x, and x
+    adopts y before any of them is expanded.
     """
 
-    parents = dict(tree.parents)
-    before = len(tree.leaves())
-    for x, y in sorted(forced):
-        parents[y] = x
-    out = witness_tree(digraph, root, parents)
-    if not forced <= out.arcs():
-        raise DPInvariantError("forced arcs share a head")
-    if len(out.leaves()) < before:
-        raise DPInvariantError("forcing the cut arcs lost leaves")
-    return out
+    return grow_breadth_first(digraph, OutTree(root, {}))
 
 
 def duplicate_multi_cut(digraph, multi_cut):
@@ -216,7 +198,7 @@ def reduce_lob(digraph, root, k):
     if missing:
         report.outcome = "disconnected"
         report.unreachable_count = len(missing)
-        return Reduction(report, None, None, None, None)
+        return Reduction(report, None, None, None)
 
     # the root reaches everything, so the tree of the reduced graph spans
     reduced, steps = exhaust_stranding_contractions(digraph, root, idom)
@@ -231,7 +213,7 @@ def reduce_lob(digraph, root, k):
     if len(profile.multi_cut) >= k:
         report.outcome = "guaranteed"
         report.reason = "multi_cut_count"
-        return Reduction(report, reduced, steps, profile.forced_arcs, None)
+        return Reduction(report, reduced, steps, None)
 
     k_eff = k + len(profile.multi_cut)
     report.k_effective = k_eff
@@ -258,11 +240,11 @@ def reduce_lob(digraph, root, k):
     if report.alpha >= HIGH_INDEGREE_FACTOR * k_eff:
         report.outcome = "guaranteed"
         report.reason = "high_indegree_count"
-        return Reduction(report, reduced, steps, None, None)
+        return Reduction(report, reduced, steps, None)
     if report.beta >= NICE_FACTOR * k_eff:
         report.outcome = "guaranteed"
         report.reason = "nice_vertex_count"
-        return Reduction(report, reduced, steps, None, None)
+        return Reduction(report, reduced, steps, None)
 
     boundary = high | nice
     report.boundary_size = len(boundary)
@@ -275,7 +257,7 @@ def reduce_lob(digraph, root, k):
     report.selected_size = len(selected)
 
     report.outcome = "reduced"
-    return Reduction(report, reduced, steps, None, selected)
+    return Reduction(report, reduced, steps, selected)
 
 
 def expand_arc_contraction(tree, graph_before, arc):
@@ -311,14 +293,14 @@ def expand_through_steps(tree, steps):
 
 
 def _forced_arc_witness(outcome):
-    root = outcome.report.root
-    tree = bfs_branching(outcome.digraph, root)
-    tree = force_cut_arcs(outcome.digraph, root, tree, outcome.forced_arcs)
-    multi = {x for x, _ in outcome.forced_arcs}
-    if len(tree.leaves()) < len(multi) + 1:
+    """The breadth first branching of the reduced graph, expanded."""
+
+    report = outcome.report
+    tree = bfs_branching(outcome.digraph, report.root)
+    if len(tree.leaves()) < report.multi_cut_count + 1:
         raise DPInvariantError(
             f"forced witness has {len(tree.leaves())} leaves for "
-            f"{len(multi)} multi-cut vertices")
+            f"{report.multi_cut_count} multi-cut vertices")
     return expand_through_steps(tree, outcome.steps)
 
 
@@ -362,7 +344,7 @@ def solve_lob(digraph, k, root=None, witness=True):
     # most leaves a spanning out-tree can have; -1 with no vertices
     cap = 1 if n == 1 else n - 1
     if k > cap:
-        return SearchResult(False, k, None, None, reports)
+        return SearchResult(False, None, None, reports)
 
     roots = [root] if root is not None else sorted(digraph.vertices)
     for r in roots:
@@ -384,7 +366,7 @@ def solve_lob(digraph, k, root=None, witness=True):
                         tree = expand_through_steps(solved, outcome.steps)
             if tree is not None:
                 _check_leaves(digraph, tree, k)
-            return SearchResult(True, k, r, tree, reports)
+            return SearchResult(True, r, tree, reports)
         answer = dp_max_leaves(outcome.digraph, r)
         if answer is None:
             raise DPInvariantError("a reduced instance is not fully reachable")
@@ -394,5 +376,5 @@ def solve_lob(digraph, k, root=None, witness=True):
             if witness:
                 final = expand_through_steps(tree, outcome.steps)
                 _check_leaves(digraph, final, count)
-            return SearchResult(True, k, r, final, reports)
-    return SearchResult(False, k, None, None, reports)
+            return SearchResult(True, r, final, reports)
+    return SearchResult(False, None, None, reports)

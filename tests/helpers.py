@@ -114,11 +114,9 @@ def brute_cut_profile(d, r):
     multi = frozenset(x for x, ys in stranded.items() if len(ys) >= 2)
     single = frozenset(x for x, ys in stranded.items() if len(ys) == 1)
     return {
-        "cut_vertices": frozenset(stranded),
         "stranded": stranded,
         "multi_cut": multi,
         "single_cut": single,
-        "forced_arcs": frozenset((x, y) for x in multi for y in stranded[x]),
         "pendant_arcs": frozenset((x, y) for x in single for y in stranded[x]),
     }
 

@@ -33,7 +33,6 @@ from outbranching.leaf_pipeline import (
     contract_pendant_arcs,
     duplicate_multi_cut,
     exhaust_stranding_contractions,
-    force_cut_arcs,
     reduce_lob,
     solve_lob,
 )
@@ -191,12 +190,10 @@ def test_criterion_5_claim_properties():
                         failures.append(("duplication", d.arcs, r))
                     else:
                         duplication_ok += 1
-                if profile.forced_arcs and forcing_ok < 120:
-                    tree = bfs_branching(d1, r)
-                    forced = force_cut_arcs(d1, r, tree,
-                                            profile.forced_arcs)
-                    if not (profile.forced_arcs <= forced.arcs()
-                            and len(forced.leaves()) >= len(tree.leaves())):
+                if profile.multi_cut and forcing_ok < 120:
+                    forced = {(x, y) for x in profile.multi_cut
+                              for y in profile.stranded[x]}
+                    if not forced <= bfs_branching(d1, r).arcs():
                         failures.append(("forcing", d.arcs, r))
                     else:
                         forcing_ok += 1

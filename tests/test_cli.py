@@ -435,6 +435,12 @@ GRID = {"family": "grid", "rows": 2, "cols": 2}
     ({"spec": GRID, "problem": "kpath", "k": -1, "b": 1}, r"'k' must be >= 1, got -1"),
     ({"spec": GRID, "problem": "kpath", "k": 2, "b": 0}, r"'b' must be in 1\.\.4, got 0"),
     ({"spec": GRID, "problem": "kpath", "k": 2, "b": 5}, r"'b' must be in 1\.\.4, got 5"),
+    ({"spec": GRID, "problem": "kpath", "k": 2, "b": 1, "root": 3},
+     r"'root' does not apply to problem 'kpath'"),
+    ({"spec": GRID, "problem": "lob", "k": 1, "b": 99},
+     r"'b' does not apply to problem 'lob'"),
+    ({"spec": GRID, "problem": "iob", "k": 1, "root": 0, "b": 1},
+     r"'b' does not apply to problem 'iob'"),
 ])
 def test_bench_suite_bad_entry_exit_two(capsys, tmp_path, monkeypatch, entry, message):
     def no_generate(spec):

@@ -58,11 +58,10 @@ def test_cut_profile_simple_chain():
     # 0 -> 1 -> {2, 3}: vertex 1 strands both of its out-neighbors
     d = Digraph.of(4, [(0, 1), (1, 2), (1, 3)])
     prof = cut_profile(d, 0)
-    assert prof.cut_vertices == {1}
-    assert prof.stranded[1] == {2, 3}
+    assert prof.stranded == {1: {2, 3}}
     assert prof.multi_cut == {1}
     assert prof.single_cut == frozenset()
-    assert prof.forced_arcs == {(1, 2), (1, 3)}
+    assert prof.pendant_arcs == frozenset()
 
 
 def test_cut_profile_single_cut_vertex():
@@ -77,8 +76,8 @@ def test_cut_profile_single_cut_vertex():
 def test_cut_profile_empty_on_2connected():
     d = bidirected_cycle(5)
     prof = cut_profile(d, 0)
-    assert prof.cut_vertices == frozenset()
-    assert prof.forced_arcs == frozenset()
+    assert prof.stranded == {}
+    assert prof.multi_cut == prof.single_cut == frozenset()
     assert prof.pendant_arcs == frozenset()
 
 

@@ -172,6 +172,27 @@ def test_parse_reports_line_numbers():
         parse_digraph("3 2\n0 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# sizes\n0 0\n", "bad sizes at line 2"),
+    ("3 -1\n", "bad sizes at line 1"),
+    ("2 1\n0 1\nroot\n", "malformed root line at line 3"),
+    ("2 1\n0 1\n\nroot zero\n", "malformed root line at line 4"),
+    ("2 1\nroot 0\n0 1\nroot 1\n", "duplicate root line at line 4"),
+    ("2 1\n0 1\nroot 2\n", "root out of range at line 3"),
+    ("2 1\n0 1 1\n", "malformed arc at line 2"),
+    ("2 1\n# arc\n0 b\n", "malformed arc at line 3"),
+    ("3 1\n0 1\n1 2\n", "more than 1 arcs at line 3"),
+    ("", "empty input, expected a header line"),
+    ("# only a comment\n\n", "empty input, expected a header line"),
+], ids=["zero-n", "negative-m", "root-arity", "root-not-int",
+        "duplicate-root", "root-range", "arc-arity", "arc-not-int",
+        "extra-arc", "empty", "comment-only"])
+def test_parse_rejects_bad_lines_with_their_line_number(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_instance(text)
+    assert str(caught.value) == message
+
+
 def test_parse_rejects_repeated_arc():
     with pytest.raises(ParseError, match="duplicate arc at line 4"):
         parse_digraph("3 3\n0 1\n1 2\n0 1\n")

@@ -255,6 +255,24 @@ def test_root_ends_once_the_whole_digraph_falls_short(monkeypatch):
     assert report["cache_hits"] == collection_size(parts, 0, k) - 2
 
 
+def test_root_scan_builds_the_underlying_graph_once(monkeypatch):
+    # a bidirected star has at most two internal vertices from any root,
+    # so k = 3 tries all five roots
+    d = Digraph.of(5, [arc for v in range(1, 5) for arc in ((0, v), (v, 0))])
+    built = []
+    run = internal_pipeline.underlying_graph
+
+    def spy(digraph):
+        built.append(digraph)
+        return run(digraph)
+
+    monkeypatch.setattr(internal_pipeline, "underlying_graph", spy)
+    res = solve_iob(d, 3)
+    assert not res.satisfiable
+    assert [r["root"] for r in res.reports] == [0, 1, 2, 3, 4]
+    assert built == [d]
+
+
 def test_unreachable_root_reports_disconnected():
     d = Digraph.of(3, [(1, 0), (1, 2)])
     res = solve_iob(d, 1, root=0)

@@ -21,12 +21,12 @@ from outbranching.leaf_pipeline import (
     exhaust_stranding_contractions,
     expand_arc_contraction,
     expand_through_steps,
-    force_cut_arcs,
     reduce_lob,
     solve_lob,
 )
 from outbranching import leaf_pipeline
 from outbranching.connectivity import _idoms, cut_profile
+from outbranching.generators import generate, grid_spec
 from outbranching.treedp import dp_max_leaves
 from outbranching.treewidth import greedy_decomposition, treewidth_upper_bound
 from helpers import grid_digraph, labelled_digraphs, random_corpus
@@ -151,14 +151,46 @@ def test_duplicates_are_not_adjacent_to_each_other():
         assert dup.out_neighbors(c) == dup.out_neighbors(x) - {c}
 
 
-def test_force_cut_arcs_on_multi_cut_instance():
-    d = multi_cut_instance()
+def test_bfs_branching_holds_the_forced_arcs_of_a_multi_cut_instance():
+    # 1 strands 3 and 4; 4 can also be entered from 3, which a depth
+    # first tree through 3 would do
+    d = Digraph.of(5, [(0, 1), (0, 2), (2, 1), (1, 3), (1, 4), (3, 4)])
     profile = cut_profile(d, 0)
+    assert profile.stranded == {1: {3, 4}}
     assert profile.multi_cut == {1}
-    tree = bfs_branching(d, 0)
-    forced = force_cut_arcs(d, 0, tree, profile.forced_arcs)
-    assert profile.forced_arcs <= forced.arcs()
-    assert len(forced.leaves()) >= len(tree.leaves())
+    assert {(1, 3), (1, 4)} <= bfs_branching(d, 0).arcs()
+
+
+def bfs_holds_every_forced_arc(d):
+    """For every root that reaches all of d, before and after the
+    stranding contractions, check that the breadth first branching holds
+    the arc from each cut vertex into each vertex it strands; returns how
+    many such arcs were checked."""
+    checked = 0
+    for r in sorted(d.vertices):
+        if reachable(d, r) != d.vertices:
+            continue
+        reduced, _ = exhaust_stranding_contractions(d, r)
+        for g in (d, reduced):
+            arcs = bfs_branching(g, r).arcs()
+            for x, ys in cut_profile(g, r).stranded.items():
+                for y in ys:
+                    assert (x, y) in arcs, (d.arcs, r, g.arcs, (x, y))
+                    checked += 1
+    return checked
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_digraphs())
+def test_bfs_branching_holds_every_forced_arc(d):
+    bfs_holds_every_forced_arc(d)
+
+
+def test_bfs_branching_holds_every_forced_arc_on_corpora():
+    corpus = random_corpus(80, seed=37, n_lo=4, n_hi=10, density=1.6)
+    corpus += [grid_digraph(s, s, seed=s, both_ways_prob=0.3)
+               for s in range(3, 7)]
+    assert sum(bfs_holds_every_forced_arc(d) for d in corpus) > 200
 
 
 def test_guaranteed_by_multi_cut_with_witness():
@@ -196,6 +228,22 @@ def test_guaranteed_by_nice_vertices_on_petal_instance():
     res = solve_lob(d, 1, root=0)
     assert res.satisfiable
     assert res.witness is not None
+
+
+def test_a_guaranteed_yes_past_the_witness_width_limit_has_no_witness():
+    # a bidirected 12x12 grid: the high in-degree count answers yes,
+    # nothing contracts, and the min-fill width (16) is above the limit,
+    # so the witness DP is skipped; a cheap certificate tried before the
+    # exact machinery would give this call a witness
+    d = generate(grid_spec(12, p2=1.0))
+    res = solve_lob(d, 4, root=0)
+    assert res.satisfiable and res.witness is None
+    (report,) = res.reports
+    assert (report.outcome, report.reason) == ("guaranteed",
+                                               "high_indegree_count")
+    assert report.contractions == 0
+    width = greedy_decomposition(underlying_graph(d)).width
+    assert width > leaf_pipeline.WITNESS_WIDTH_LIMIT
 
 
 def shortcut_corpus(count, seed):
@@ -396,8 +444,6 @@ def check_reduction_record(d, k):
         else:
             assert report.outcome in ("guaranteed", "reduced")
             assert report.unreachable_count is None
-        assert ((outcome.forced_arcs is not None)
-                == (report.reason == "multi_cut_count"))
         assert (outcome.selected is not None) == (report.outcome == "reduced")
         if outcome.selected is not None:
             assert outcome.selected <= outcome.digraph.vertices

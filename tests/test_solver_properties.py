@@ -161,7 +161,7 @@ def test_lob_yes_guards_raise(monkeypatch):
         report = leaf_pipeline.StructureReport(root, k)
         report.outcome = "guaranteed"
         report.reason = "high_indegree_count"
-        return leaf_pipeline.Reduction(report, digraph, [], None, None)
+        return leaf_pipeline.Reduction(report, digraph, [], None)
 
     monkeypatch.setattr(leaf_pipeline, "reduce_lob", guaranteed)
     monkeypatch.setattr(leaf_pipeline, "_dp_witness",
