@@ -42,6 +42,8 @@ def ball(graph, center, radius):
     seen, frontier = {center}, {center}
     for _ in range(radius):
         frontier = {y for x in frontier for y in graph.neighbors(x)} - seen
+        if not frontier:
+            break
         seen |= frontier
     return frozenset(seen)
 

@@ -23,6 +23,13 @@ class GeneratorSpec:
                  seed=0, p2=1.0):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}, pick from {FAMILIES}")
+        # None marks a size the family does not use; a bool is no integer
+        sizes = {"rows": rows, "cols": cols, "n": n, "m": m, "seed": seed}
+        for name, value in sizes.items():
+            if type(value) is not int and (value is not None or name == "seed"):
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
+        if type(p2) not in (int, float):
+            raise ValueError(f"'p2' must be a number, got {p2!r}")
         if not 0.0 <= p2 <= 1.0:
             raise ValueError(f"p2 must be in [0, 1], got {p2}")
         if family == "grid":

@@ -25,8 +25,8 @@ the reduction ends: its StructureReport says "disconnected" when the
 root misses a vertex (no), "guaranteed" when a count fired (yes, with
 the count named as the reason) or "reduced".  The actual yes/no for the
 reduced case is decided by the spanning branching dynamic program on the
-contracted graph, and every yes carries a verifiable witness expanded
-back to the input digraph.
+contracted graph.  solve_lob expands every yes's tree back to the input
+digraph and validates it in one place.
 """
 
 from __future__ import annotations
@@ -292,18 +292,6 @@ def expand_through_steps(tree, steps):
     return tree
 
 
-def _forced_arc_witness(outcome):
-    """The breadth first branching of the reduced graph, expanded."""
-
-    report = outcome.report
-    tree = bfs_branching(outcome.digraph, report.root)
-    if len(tree.leaves()) < report.multi_cut_count + 1:
-        raise DPInvariantError(
-            f"forced witness has {len(tree.leaves())} leaves for "
-            f"{report.multi_cut_count} multi-cut vertices")
-    return expand_through_steps(tree, outcome.steps)
-
-
 def _dp_witness(outcome):
     """Solve the reduced graph exactly; used when a witness is wanted."""
 
@@ -331,8 +319,9 @@ def solve_lob(digraph, k, root=None, witness=True):
 
     With root given only that root is tried; otherwise all vertices in
     ascending order, stopping at the first success.  The returned witness,
-    when requested and available, is a spanning out-branching of the input
-    digraph with at least k leaves.
+    when requested, is a spanning out-branching of the input digraph with
+    at least k leaves; it is None only for a counting-lemma yes whose
+    reduced graph is wider than WITNESS_WIDTH_LIMIT.
     """
 
     if k < 1:
@@ -349,32 +338,32 @@ def solve_lob(digraph, k, root=None, witness=True):
     roots = [root] if root is not None else sorted(digraph.vertices)
     for r in roots:
         outcome = reduce_lob(digraph, r, k)
-        reports.append(outcome.report)
-        if outcome.report.outcome == "disconnected":
+        report = outcome.report
+        reports.append(report)
+        if report.outcome == "disconnected":
             continue
-        if outcome.report.outcome == "guaranteed":
-            tree = None
-            if witness:
-                if outcome.report.reason == "multi_cut_count":
-                    tree = _forced_arc_witness(outcome)
-                else:
-                    count, solved = _dp_witness(outcome)
-                    if count is not None:
-                        if count < k:
-                            raise DPInvariantError(
-                                f"a guaranteed instance solved to {count} < {k} leaves")
-                        tree = expand_through_steps(solved, outcome.steps)
-            if tree is not None:
-                _check_leaves(digraph, tree, k)
-            return SearchResult(True, r, tree, reports)
-        answer = dp_max_leaves(outcome.digraph, r)
-        if answer is None:
-            raise DPInvariantError("a reduced instance is not fully reachable")
-        count, tree = answer
-        if count >= k:
-            final = None
-            if witness:
-                final = expand_through_steps(tree, outcome.steps)
-                _check_leaves(digraph, final, count)
-            return SearchResult(True, r, final, reports)
+        # each yes picks a leaf count (k when guaranteed) and a tree
+        count, tree = k, None
+        if report.outcome == "reduced":
+            answer = dp_max_leaves(outcome.digraph, r)
+            if answer is None:
+                raise DPInvariantError("a reduced instance is not fully reachable")
+            count, tree = answer
+            if count < k:
+                continue
+        elif witness and report.reason == "multi_cut_count":
+            tree = bfs_branching(outcome.digraph, r)
+            if len(tree.leaves()) < report.multi_cut_count + 1:
+                raise DPInvariantError(
+                    f"forced witness has {len(tree.leaves())} leaves for "
+                    f"{report.multi_cut_count} multi-cut vertices")
+        elif witness:
+            solved, tree = _dp_witness(outcome)
+            if solved is not None and solved < k:
+                raise DPInvariantError(
+                    f"a guaranteed instance solved to {solved} < {k} leaves")
+        if witness and tree is not None:
+            tree = expand_through_steps(tree, outcome.steps)
+            _check_leaves(digraph, tree, count)
+        return SearchResult(True, r, tree if witness else None, reports)
     return SearchResult(False, None, None, reports)

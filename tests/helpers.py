@@ -21,6 +21,22 @@ def random_corpus(count, seed, n_lo=4, n_hi=7, density=2.0):
     return [random_digraph(rng, n_lo, n_hi, density) for _ in range(count)]
 
 
+def multi_cut_instance():
+    # x is reachable two ways but alone feeds a and b
+    return Digraph.of(5, [(0, 1), (0, 2), (2, 1), (1, 3), (1, 4)])
+
+
+def petal_instance(petals=26):
+    """Hub h bidirected to root, one-way spokes, petals bidirected to h."""
+    h = 1
+    arcs = [(0, h), (h, 0)]
+    for i in range(petals):
+        p = 2 + i
+        arcs.append((0, p))
+        arcs.extend([(p, h), (h, p)])
+    return Digraph.of(2 + petals, arcs)
+
+
 @st.composite
 def labelled_digraphs(draw, max_n=9):
     """A digraph on 1..max_n distinct ids drawn from 0..99, so the ids are

@@ -29,6 +29,8 @@ def test_ball_stops_at_component():
     d = Digraph.of(4, [(0, 1), (2, 3)])
     g = underlying_graph(d)
     assert ball(g, 0, 5) == {0, 1}
+    # the BFS ends with its frontier, not after radius rounds
+    assert ball(g, 0, 10**9) == {0, 1}
 
 
 def test_ball_matches_the_first_bfs_layers():

@@ -441,6 +441,16 @@ GRID = {"family": "grid", "rows": 2, "cols": 2}
      r"'b' does not apply to problem 'lob'"),
     ({"spec": GRID, "problem": "iob", "k": 1, "root": 0, "b": 1},
      r"'b' does not apply to problem 'iob'"),
+    ({"spec": dict(GRID, rows=2.5), "problem": "lob", "k": 1},
+     r"'rows' must be an integer, got 2\.5"),
+    ({"spec": {"family": "random-sparse", "n": 4, "m": 2.0}, "problem": "lob",
+      "k": 1}, r"'m' must be an integer, got 2\.0"),
+    ({"spec": dict(GRID, seed=[1]), "problem": "lob", "k": 1},
+     r"'seed' must be an integer, got \[1\]"),
+    ({"spec": dict(GRID, rows=True), "problem": "lob", "k": 1},
+     r"'rows' must be an integer, got True"),
+    ({"spec": dict(GRID, p2="1"), "problem": "lob", "k": 1},
+     r"'p2' must be a number, got '1'"),
 ])
 def test_bench_suite_bad_entry_exit_two(capsys, tmp_path, monkeypatch, entry, message):
     def no_generate(spec):

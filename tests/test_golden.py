@@ -1,0 +1,133 @@
+"""A snapshot of solver outputs on a fixed corpus.
+
+Every call below goes through `analysis.solve`, and its answer, root,
+witness and reports are compared with `golden_outputs.json`. A change
+that alters any of them fails here, whether or not the new output is
+still correct. The corpus reaches every lob outcome and counting reason,
+every iob report outcome, and kpath hits and misses that skip regions,
+with witnesses on and off.
+
+A change that alters outputs on purpose re-records the file with
+
+    python tests/test_golden.py --record
+
+and lists the diff in CHANGES.md.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    # run as a script from a checkout: import the package from src/
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from outbranching import Digraph
+from outbranching.analysis import solve
+from outbranching.generators import generate, grid_spec
+
+from helpers import grid_digraph, multi_cut_instance, petal_instance, random_corpus
+
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+
+
+def complete_digraph(n):
+    return Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+
+
+def corpus():
+    """(name, digraph, problem, k, root, b, witness) for every call."""
+    calls = []
+    small = random_corpus(10, seed=2027, n_lo=4, n_hi=7, density=1.6)
+    for i, d in enumerate(small):
+        for k in range(1, d.n + 1):
+            for root, witness in ((0, True), (0, False), (None, True)):
+                calls.append((f"random{i}", d, "lob", k, root, None, witness))
+                calls.append((f"random{i}", d, "iob", k, root, None, witness))
+        for k in range(1, d.n):
+            calls.append((f"random{i}", d, "kpath", k, None, 1, False))
+    for s in (3, 4):
+        d = grid_digraph(s, s, seed=s, both_ways_prob=0.3)
+        for k in range(1, d.n // 2 + 2):
+            for witness in (True, False):
+                calls.append((f"grid{s}x{s}", d, "lob", k, 0, None, witness))
+                calls.append((f"grid{s}x{s}", d, "iob", k, 0, None, witness))
+    # one-way grids whose kpath hits come after regions skipped inside
+    # a failed one
+    for rows, cols, seed, b in ((3, 4, 0, 2), (3, 5, 3, 3)):
+        d = grid_digraph(rows, cols, seed=seed, both_ways_prob=0.2)
+        for k in range(2, 10):
+            calls.append((f"grid{rows}x{cols}s{seed}", d, "kpath", k, None, b, True))
+    counted = [
+        ("multi_cut", multi_cut_instance(), (1, 2, 3)),
+        ("complete7", complete_digraph(7), (1, 2, 6)),
+        ("petal", petal_instance(), (1, 2, 27)),
+        ("bigrid12", generate(grid_spec(12, p2=1.0)), (4,)),
+    ]
+    for name, d, ks in counted:
+        for k in ks:
+            for witness in (True, False):
+                calls.append((name, d, "lob", k, 0, None, witness))
+    return calls
+
+
+def outputs(call):
+    """The JSON form of one call's result."""
+    name, d, problem, k, root, b, witness = call
+    res = solve(problem, d, k, root=root, b=b, witness=witness)
+    out = {"instance": name, "problem": problem, "k": k, "root": root,
+           "b": b, "witness": witness, "answer": res.satisfiable}
+    if problem == "kpath":
+        out["found"] = res.witness
+        out["reports"] = res.stats
+    else:
+        out["found_root"] = res.root
+        out["found"] = None if res.witness is None else sorted(res.witness.arcs())
+        out["reports"] = [r.as_dict() if problem == "lob" else r for r in res.reports]
+    # tuples become lists, as they do in the file
+    return json.loads(json.dumps(out))
+
+
+def snapshot():
+    return [outputs(call) for call in corpus()]
+
+
+def test_outputs_match_the_snapshot():
+    recorded = json.loads(GOLDEN.read_text())
+    current = snapshot()
+    assert len(current) == len(recorded)
+    for now, then in zip(current, recorded):
+        assert now == then
+
+
+def test_snapshot_reaches_every_outcome():
+    recorded = json.loads(GOLDEN.read_text())
+    lob, iob, kpath = set(), set(), set()
+    for out in recorded:
+        if out["problem"] == "lob":
+            lob.update((r["outcome"], r["reason"]) for r in out["reports"])
+            if out["answer"] and out["found"] is None:
+                lob.add(("yes without witness", out["witness"]))
+        elif out["problem"] == "iob":
+            iob.update(r["outcome"] for r in out["reports"])
+        else:
+            stats = out["reports"]
+            kpath.add((out["answer"], stats["cache_hits"] > 0,
+                       stats["skipped_small"] > 0))
+    assert lob >= {("disconnected", None), ("reduced", None),
+                   ("guaranteed", "multi_cut_count"),
+                   ("guaranteed", "high_indegree_count"),
+                   ("guaranteed", "nice_vertex_count"),
+                   ("yes without witness", True),
+                   ("yes without witness", False)}
+    assert iob >= {"witness_tree", "exhausted", "disconnected", "infeasible_k"}
+    assert {(True, True), (False, True)} <= {h[:2] for h in kpath}
+    assert any(h[2] for h in kpath)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: python {sys.argv[0]} --record")
+    # one call a line, so a re-record diffs call by call
+    lines = ",\n".join(json.dumps(out, sort_keys=True, separators=(",", ":")) for out in snapshot())
+    GOLDEN.write_text(f"[\n{lines}\n]\n")

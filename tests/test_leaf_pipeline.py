@@ -29,7 +29,13 @@ from outbranching.connectivity import _idoms, cut_profile
 from outbranching.generators import generate, grid_spec
 from outbranching.treedp import dp_max_leaves
 from outbranching.treewidth import greedy_decomposition, treewidth_upper_bound
-from helpers import grid_digraph, labelled_digraphs, random_corpus
+from helpers import (
+    grid_digraph,
+    labelled_digraphs,
+    multi_cut_instance,
+    petal_instance,
+    random_corpus,
+)
 
 
 def bidirected_cycle(n):
@@ -37,22 +43,6 @@ def bidirected_cycle(n):
     for i in range(n):
         arcs.extend([(i, (i + 1) % n), ((i + 1) % n, i)])
     return Digraph.of(n, arcs)
-
-
-def multi_cut_instance():
-    # x is reachable two ways but alone feeds a and b
-    return Digraph.of(5, [(0, 1), (0, 2), (2, 1), (1, 3), (1, 4)])
-
-
-def petal_instance(petals=26):
-    """Hub h bidirected to root, one-way spokes, petals bidirected to h."""
-    h = 1
-    arcs = [(0, h), (h, 0)]
-    for i in range(petals):
-        p = 2 + i
-        arcs.append((0, p))
-        arcs.extend([(p, h), (h, p)])
-    return Digraph.of(2 + petals, arcs)
 
 
 def test_solve_star_and_path():

@@ -174,6 +174,28 @@ def test_lob_yes_guards_raise(monkeypatch):
         solve_lob(K4, 3, root=0)
 
 
+def test_lob_multi_cut_guard_raises(monkeypatch):
+    # 1 alone feeds 3 and 4, so the outcome is multi_cut_count; a path
+    # has one leaf, enough for k = 1 but not for one multi-cut vertex
+    d = Digraph.of(5, [(0, 1), (0, 2), (2, 1), (1, 3), (1, 4), (3, 4)])
+    (report,) = solve_lob(d, 1, root=0).reports
+    assert (report.reason, report.multi_cut_count) == ("multi_cut_count", 1)
+    monkeypatch.setattr(leaf_pipeline, "bfs_branching",
+                        lambda digraph, root: OutTree(0, {2: 0, 1: 2, 3: 1, 4: 3}))
+    with pytest.raises(DPInvariantError,
+                       match="forced witness has 1 leaves for 1 multi-cut vertices"):
+        solve_lob(d, 1, root=0)
+
+
+def test_lob_reachability_guards_raise(monkeypatch):
+    monkeypatch.setattr(leaf_pipeline, "dp_max_leaves", lambda *args: None)
+    with pytest.raises(DPInvariantError, match="a reduced instance is not fully reachable"):
+        solve_lob(K4, 3, root=0)
+    k7 = Digraph.of(7, [(u, v) for u in range(7) for v in range(7) if u != v])
+    with pytest.raises(DPInvariantError, match="a guaranteed instance is not fully reachable"):
+        solve_lob(k7, 1, root=0)
+
+
 def test_iob_yes_guard_raises(monkeypatch):
     star = OutTree(0, {1: 0, 2: 0, 3: 0})
     monkeypatch.setattr(internal_pipeline, "expand_minimal_tree",
