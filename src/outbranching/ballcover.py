@@ -14,7 +14,8 @@ path in R is a path in F.  Once F's longest path falls short of k, no
 region inside F can reach k, and the solver skips it without a DP.  The
 regions that still run keep their lexicographic order, so the first one
 to reach k, and the answer, do not depend on the skip.  The DP on a
-region also stops at its first path of k arcs.
+region drops every state that cannot reach k arcs and stops at its
+first path of k arcs.
 
 Choosing b trades enumeration against DP difficulty: small b means few
 subsets but big pieces, large b many subsets of shallow pieces.  On
@@ -104,12 +105,13 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
             stats["cache_hits"] += 1
             continue
         stats["dp_runs"] += 1
-        arcs, path = dp_longest_path(digraph.induced(region), target=k)
-        if arcs < k:
+        best = dp_longest_path(digraph.induced(region), target=k)
+        if best is None:
             failed = [f for f in failed if not f <= region]
             failed.append(region)
             continue
         stats["hit_subset"] = centers
+        path = best[1]
         for u, v in zip(path, path[1:]):
             if not digraph.has_arc(u, v):
                 raise DPInvariantError(f"path witness uses ({u}, {v}), not an arc")

@@ -21,11 +21,12 @@ contains the witness.  One loop over the parts fixes, per part, which
 vertices may be kept and how many; collection_size counts those
 (part, kept-subset) choices in closed form and generate_collection
 yields each as (part_index, kept, sub_digraph).  The solver runs the
-internal-DP on each sub-digraph, capped at the witness size when the
-sub-digraph is larger.  The cap loses no answer and keeps the DP
-polynomial in the bag width.  A part kept whole gives back the whole
-digraph, of which every sub-digraph is an induced subdigraph; when that
-DP falls short of k no later one can reach it, so the root ends there.
+internal-DP on each sub-digraph with target k, which drops every state
+that cannot reach k, capped at the witness size when the sub-digraph is
+larger.  The cap loses no answer and keeps the DP polynomial in the bag
+width.  A part kept whole gives back the whole digraph, of which every
+sub-digraph is an induced subdigraph; when that DP falls short of k no
+later one can reach it, so the root ends there.
 """
 
 import math
@@ -177,8 +178,8 @@ def _solve_one_root(digraph, graph, k, root, budget):
             continue
         report["evaluated"] += 1
         best = dp_max_internal_outtree(
-            sub, root, size_cap=cap if cap < sub.n else None)
-        if best[0] >= k:
+            sub, root, size_cap=cap if cap < sub.n else None, target=k)
+        if best is not None:
             report["outcome"] = "witness_tree"
             report["hit"] = (index, tuple(sorted(kept)))
             return report, best[1]

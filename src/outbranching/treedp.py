@@ -31,9 +31,24 @@ insert or delete a bit; a join tests two flag sets for overlap with
 with the same in-bag mask, and only then crosses the flag ints of the
 two groups.  Partition updates are memoized.
 
-A broken invariant, including a witness that fails validation, raises
-DPInvariantError; none of these checks is an assert, so they also run
-under ``python -O``.
+The internal and path DPs also run as decision procedures for a target
+k.  A vertex already forgotten has scored or never will, and one marked
+outside the solution stays outside, so a state's final score is at most
+its bound: its score, plus the vertices not yet forgotten, minus its
+in-bag vertices marked outside.  The bound never rises along the walk,
+and the states whose bound is below k are dropped at every join, which
+never pairs two states whose scores cannot add up to it, and after every
+forget.  What is left is exactly the unbounded table restricted to
+bound >= k, with the same scores, so an optimum of at least k comes out
+unchanged and an optimum below k empties the final table.  Its witness
+can differ from an unbounded run's where a join ties: the join keeps the
+first best pair in the order its groups first occur, and dropped states
+can reorder the groups.
+
+Every run counts the states its steps keep, which the backpointers hold
+alive, and raises BudgetError past DP_STATE_BUDGET.  A broken invariant,
+including a witness that fails validation, raises DPInvariantError; none
+of these checks is an assert, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -44,12 +59,16 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .digraph import underlying_graph, witness_tree
-from .errors import DPInvariantError
+from .errors import BudgetError, DPInvariantError
 from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, greedy_decomposition, make_nice
 
 ABSENT = -1
 CLOSED = -2
 EDGE = "edge"
+
+# The most states one run may keep over all its steps.  About 200 bytes
+# were measured per kept state, so this is about 2 GB.
+DP_STATE_BUDGET = 10_000_000
 
 
 # One executed table of the dynamic program, with backpointers.
@@ -208,10 +227,14 @@ class _TreeEngine:
     size counts the solution vertices seen so far under a size_cap and
     stays 0 without one, so only a capped run keeps a state per size.
 
-    A target (root=None only) stops the walk at the first edge or join
-    state whose one fragment holds at least target arcs, and leaves that
-    state in hit.  The fragment owns every arc of the state: the score
-    counts the arcs with a forgotten tail and child_bits the rest.
+    A target is the k of a decision run, for the non-spanning modes.
+    Every state whose bound is below it is dropped: by the join, which
+    _execute tells what a pair needs, and after each forget.  On a path
+    (root=None) it also stops the walk at the first edge or join state
+    whose one fragment holds at least target arcs, and leaves that state
+    in hit.  The fragment owns every arc of the state: the score counts
+    the arcs with a forgotten tail and child_bits the rest, so the hit
+    state passes the bound.
     """
 
     def __init__(self, digraph, root, spanning, size_cap=None, target=None):
@@ -285,7 +308,7 @@ class _TreeEngine:
         u, w = e
         pu, pw = bag.index(u), bag.index(w)
         one_child = self.root is None
-        target = self.target
+        target = self.target if one_child else None
         # (arc, tail pos, head pos, head bit, tail bit, tail bit that blocks)
         cands = [((x, y), px, py, 1 << py, 1 << px, one_child << px)
                  for x, y, px, py in ((u, w, pu, pw), (w, u, pw, pu))
@@ -307,11 +330,19 @@ class _TreeEngine:
                     return table, back
         return table, back
 
-    def join(self, tl, tr):
+    def join(self, tl, tr, need=0, room=sys.maxsize):
+        """Join two tables, crossing only the pairs whose scores plus their
+        in-bag solution vertices reach need; past room states it raises
+        BudgetError."""
+
         table, back = {}, {}
-        cap, grow, target = self.size_cap, self.grow, self.target
+        cap, grow = self.size_cap, self.grow
+        target = self.target if self.root is None else None
         for n_in, (_, lr, lsize), litems, (_, rr, rsize), ritems, (blocks, lmap, rmap) in (
                 _group_pairs(tl, tr, self.root is None)):
+            if len(table) > room:
+                raise BudgetError("dp states", DP_STATE_BUDGET - room + len(table),
+                                  DP_STATE_BUDGET)
             # a state is checked when it is set: one that loses to a kept
             # score was checked with that score
             one = target is not None and max(blocks, default=-1) == 0
@@ -329,8 +360,14 @@ class _TreeEngine:
                     if rstat >= 0 and rmap[rr] != rstat:
                         raise DPInvariantError("two root fragments met outside the bag")
                     rstat = rmap[rr]
+            # every merged state has n_in solution vertices in the bag, so
+            # a pair reaches need when its scores add up to floor
+            floor = need - n_in
+            rmin = min(item[3] for item in ritems) if floor > 0 else 0
             for lx, lp, lc, lscore, ls in litems:
-                for rx, rp, rc, rscore, rs in ritems:
+                rfloor = floor - lscore
+                for rx, rp, rc, rscore, rs in (
+                        ritems if rfloor <= rmin else [r for r in ritems if r[3] >= rfloor]):
                     if lx & rx:
                         continue
                     st = (blocks, lp | rp, lc | rc, rstat, size)
@@ -345,6 +382,38 @@ class _TreeEngine:
         return table, back
 
 
+def _reaching(table, back, need):
+    """table and back without the states whose score plus in-bag solution
+    vertices is below need."""
+
+    if need <= 0:
+        return table, back
+    kept = {s: score for s, score in table.items()
+            if score + len(s[0]) - s[0].count(-1) >= need}
+    if len(kept) == len(table):
+        return table, back
+    return kept, {s: back[s] for s in kept}
+
+
+def _need(target, unseen):
+    """What score plus in-bag solution vertices a state needs to keep a
+    bound of target, where unseen counts the vertices neither forgotten
+    below the step nor in its bag: 0 (all pass) without a target or with
+    unseen >= target."""
+
+    return 0 if target is None else max(0, target - unseen)
+
+
+def _count(states, step):
+    """states plus the step's table size; past DP_STATE_BUDGET a
+    BudgetError is raised."""
+
+    states += len(step.table)
+    if states > DP_STATE_BUDGET:
+        raise BudgetError("dp states", states, DP_STATE_BUDGET)
+    return states
+
+
 def _execute(digraph, nice, engine):
     """Run an engine down the nice ops, splicing in an edge step for each
     underlying edge right before the forget of its first endpoint.
@@ -352,19 +421,27 @@ def _execute(digraph, nice, engine):
     ``nice`` defaults to the min-fill decomposition of the underlying
     graph.  Finished steps wait on a stack: a join pops its left operand
     and then its right one, introduce and forget pop one.  A forget's bag
-    lacks its vertex, which sat where it would sort into that bag.
-    Returns the last step, or the step that set engine.hit.
+    lacks its vertex, which sat where it would sort into that bag.  A
+    second stack holds each finished step's forgotten-vertex count: 0 at
+    a leaf, one more at a forget, the sum of both sides at a join.  With
+    engine.target set, the states that cannot reach it are dropped at
+    every join and after every forget.  Returns the last step, or the
+    step that set engine.hit.
     """
 
     ug = underlying_graph(digraph)
     if nice is None:
         nice = make_nice(greedy_decomposition(ug))
+    target, n = engine.target, digraph.n
     assigned = set()
     covered = set()
     done = []
+    forgotten = []
+    states = 0
     for kind, v, bag in nice.ops:
         if kind == LEAF:
             step = _Step(kind, (), *engine.leaf())
+            forgotten.append(0)
         elif kind == INTRODUCE:
             child = done.pop()
             step = _Step(kind, (child,), *engine.introduce(child.table, bag, v))
@@ -386,15 +463,22 @@ def _execute(digraph, nice, engine):
                     step = _Step(EDGE, (step,), *engine.edge(step.table, child_bag, e))
                     if engine.hit is not None:
                         return step
-            step = _Step(kind, (step,), *engine.forget(step.table, bag, v))
+                    states = _count(states, step)
+            forgotten[-1] += 1
+            step = _Step(kind, (step,), *_reaching(
+                *engine.forget(step.table, bag, v), _need(target, n - forgotten[-1] - len(bag))))
         elif kind == JOIN:
             left = done.pop()
             right = done.pop()
-            step = _Step(kind, (left, right), *engine.join(left.table, right.table))
+            forgotten.append(forgotten.pop() + forgotten.pop())
+            step = _Step(kind, (left, right), *engine.join(
+                left.table, right.table, _need(target, n - forgotten[-1] - len(bag)),
+                DP_STATE_BUDGET - states))
             if engine.hit is not None:
                 return step
         else:
             raise DPInvariantError(f"unknown nice op kind {kind!r}")
+        states = _count(states, step)
         done.append(step)
     if not covered >= digraph.vertices:
         raise DPInvariantError("decomposition does not cover the digraph")
@@ -423,8 +507,9 @@ def _collect_arcs(final_step, final_state):
 
 def _best_closed(digraph, nice, engine):
     """Run the engine; (score, state, arcs) for its best finished state,
-    with the arcs its backpointers spell out, or None if no state closed.
-    A hit state stands in for the best finished one, scored by its arcs."""
+    with the arcs its backpointers spell out, or None if no state closed
+    (with a target: none reached it).  A hit state stands in for the
+    best finished one, scored by its arcs."""
 
     top = _execute(digraph, nice, engine)
     hit = engine.hit
@@ -437,7 +522,7 @@ def _best_closed(digraph, nice, engine):
     return top.table[best], best, _collect_arcs(top, best)
 
 
-def _best_tree(digraph, root, nice, spanning, size_cap=None):
+def _best_tree(digraph, root, nice, spanning, size_cap=None, target=None):
     """The best finished out-tree of the _TreeEngine run, as (score, tree).
 
     The witness is validated, its leaf count (spanning) or internal count
@@ -447,7 +532,7 @@ def _best_tree(digraph, root, nice, spanning, size_cap=None):
 
     if root not in digraph.vertices:
         raise ValueError(f"root {root} not in digraph")
-    best = _best_closed(digraph, nice, _TreeEngine(digraph, root, spanning, size_cap))
+    best = _best_closed(digraph, nice, _TreeEngine(digraph, root, spanning, size_cap, target))
     if best is None:
         return None
     score, state, arcs = best
@@ -473,18 +558,21 @@ def dp_max_leaves(digraph, root, nice=None):
     return _best_tree(digraph, root, nice, spanning=True)
 
 
-def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None):
+def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None, target=None):
     """Most internal vertices over out-trees rooted at root, with at most
     size_cap vertices when a cap is given.
 
     Returns (internal, tree).  The single-vertex tree {root} is always
-    available, so there is always an answer.
+    available, so without a target there is always an answer.  With a
+    target the DP drops every state whose bound is below it and returns
+    None when the optimum is below target; otherwise it returns the same
+    optimum as a run without one, with a validated tree.
     """
 
     if size_cap is not None and size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    best = _best_tree(digraph, root, nice, spanning=False, size_cap=size_cap)
-    if best is None:
+    best = _best_tree(digraph, root, nice, spanning=False, size_cap=size_cap, target=target)
+    if best is None and target is None:
         raise DPInvariantError("the one-vertex tree did not survive")
     return best
 
@@ -493,16 +581,18 @@ def dp_longest_path(digraph, nice=None, target=None):
     """Longest directed path, counted in arcs.  Returns (count, vertices).
 
     Runs the rootless _TreeEngine, whose out-trees are the paths.  With a
-    target, the walk stops at the first path of at least target arcs and
-    returns it, longest or not; a digraph without one still gets its
-    longest path.
+    target, the DP drops every state whose bound is below it and the walk
+    stops at the first path of at least target arcs, which it returns,
+    longest or not.  When no path has target arcs it returns None.
     """
 
     if not digraph.vertices:
-        return 0, []
+        return None if target is not None and target > 0 else (0, [])
     best = _best_closed(digraph, nice, _TreeEngine(digraph, None, spanning=False, target=target))
     if best is None:
-        raise DPInvariantError("no one-vertex path survived")
+        if target is None:
+            raise DPInvariantError("no one-vertex path survived")
+        return None
     score, _, arcs = best
     nxt = dict(arcs)
     starts = set(nxt) - set(nxt.values()) or {min(digraph.vertices)}

@@ -1,5 +1,3 @@
-import time
-
 import pytest
 
 from outbranching import (Digraph, BudgetError, bfs_layers, brute_longest_path,
@@ -45,19 +43,39 @@ def test_ball_matches_the_first_bfs_layers():
                     *layers[:radius + 1]), (g.edges, center, radius)
 
 
-def test_balls_cost_grows_linearly_on_paths():
-    # every center's ball stops at the radius: 4x the vertices, under 8x
-    # the time (a whole-graph BFS per center grows 16x)
-    def best_of_three(n):
-        path = Digraph.of(n, [(i, i + 1) for i in range(n - 1)])
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert solve_kpath_ballcover(path, 3, 1).satisfiable
-            times.append(time.perf_counter() - start)
-        return min(times)
+class _CountingGraph:
+    """An undirected graph that counts its neighbors lookups."""
 
-    assert best_of_three(4000) < 8 * best_of_three(1000)
+    def __init__(self, graph):
+        self.graph = graph
+        self.vertices = graph.vertices
+        self.lookups = 0
+
+    def neighbors(self, v):
+        self.lookups += 1
+        return self.graph.neighbors(v)
+
+
+def test_balls_cost_grows_linearly_on_paths(monkeypatch):
+    # an alternating path has one-arc paths only, so k=3 visits every
+    # subset and builds every center's ball (they are built lazily, each
+    # the first time a subset needs it); a ball that stops at the radius
+    # makes a fixed number of neighbors lookups, so 4x the vertices cost
+    # 4x the lookups, while a whole-graph BFS per center costs 16x
+    def lookups(n):
+        counting = []
+
+        def counting_ball(graph, center, radius):
+            counting.append(_CountingGraph(graph))
+            return ball(counting[-1], center, radius)
+
+        monkeypatch.setattr(ballcover, "ball", counting_ball)
+        path = Digraph.of(n, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])
+        res = solve_kpath_ballcover(path, 3, 1)
+        assert not res.satisfiable and len(counting) == n
+        return sum(g.lookups for g in counting)
+
+    assert lookups(400) < 8 * lookups(100)
 
 
 def test_balls_are_built_when_a_subset_first_needs_them(monkeypatch):

@@ -339,6 +339,18 @@ def test_budget_exit_three(capsys, tmp_path):
     assert err.startswith("error: budget:")
 
 
+def test_dp_state_budget_exit_three(capsys, tmp_path, monkeypatch):
+    n = 10
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    text = f"{n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+    path = write_instance(tmp_path, text)
+    monkeypatch.setattr(treedp, "DP_STATE_BUDGET", 10_000)
+    code, out, err = run(capsys, "solve-iob", "--input", path, "--k", "4", "--root", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("error: budget:") and "dp states" in err
+    assert err.count("\n") == 1
+
+
 def test_analyze_json_and_csv(capsys, tmp_path):
     path = write_instance(tmp_path, STAR)
     code, out, _ = run(capsys, "analyze", "--input", path, "--k", "1")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from outbranching import (
@@ -12,7 +14,7 @@ from outbranching import (
     underlying_graph,
     validate_out_tree,
 )
-from outbranching import internal_pipeline
+from outbranching import internal_pipeline, treedp
 from outbranching.internal_pipeline import (
     build_partitions,
     ceil_sqrt,
@@ -216,16 +218,16 @@ def test_solve_caps_the_dp_when_the_cap_is_below_the_vertex_count(monkeypatch):
     # partition of its one wide bag; the cap keeps small k cheap
     n, k = 8, 2
     d = Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-    caps = []
+    calls = []
     run = internal_pipeline.dp_max_internal_outtree
 
-    def spy(digraph, root, size_cap=None):
-        caps.append(size_cap)
-        return run(digraph, root, size_cap=size_cap)
+    def spy(digraph, root, size_cap=None, target=None):
+        calls.append((size_cap, target))
+        return run(digraph, root, size_cap=size_cap, target=target)
 
     monkeypatch.setattr(internal_pipeline, "dp_max_internal_outtree", spy)
     assert solve_iob(d, k, root=0).satisfiable
-    assert caps == [witness_size_cap(k)]
+    assert calls == [(witness_size_cap(k), k)]
 
 
 def test_root_ends_once_the_whole_digraph_falls_short(monkeypatch):
@@ -237,12 +239,15 @@ def test_root_ends_once_the_whole_digraph_falls_short(monkeypatch):
     room = ceil_sqrt(4 * k)
     assert sum(len(part) <= room for part in parts) >= 2
     assert brute_max_internal(d, 0) < k
-    sizes = []
+    calls = []
     run = internal_pipeline.dp_max_internal_outtree
 
-    def spy(digraph, root, size_cap=None):
-        sizes.append(digraph.n)
-        return run(digraph, root, size_cap=size_cap)
+    def spy(digraph, root, size_cap=None, target=None):
+        calls.append((digraph.n, target))
+        best = run(digraph, root, size_cap=size_cap, target=target)
+        # short of the target, the decision DP answers None
+        assert best is None
+        return best
 
     monkeypatch.setattr(internal_pipeline, "dp_max_internal_outtree", spy)
     res = solve_iob(d, k, root=0)
@@ -250,9 +255,23 @@ def test_root_ends_once_the_whole_digraph_falls_short(monkeypatch):
     report = res.reports[0]
     assert report["outcome"] == "exhausted" and report["hit"] is None
     # part 0 yields {0} (too small), then {0, 4}: the whole digraph
-    assert sizes == [n]
+    assert calls == [(n, k)]
     assert (report["skipped_small"], report["evaluated"]) == (1, 1)
     assert report["cache_hits"] == collection_size(parts, 0, k) - 2
+
+
+def test_a_dp_past_its_state_budget_raises_budget_error_fast(monkeypatch):
+    # the complete digraph on 10 vertices is one sub-instance whose DP
+    # runs on one bag of all ten vertices
+    n = 10
+    d = Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    monkeypatch.setattr(treedp, "DP_STATE_BUDGET", 10_000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        solve_iob(d, 4, root=0)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.what == "dp states" and info.value.budget == 10_000
+    assert info.value.needed > 10_000
 
 
 def test_root_scan_builds_the_underlying_graph_once(monkeypatch):

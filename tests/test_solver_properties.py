@@ -5,7 +5,8 @@ a drawn k; every answer must match the brute-force oracle and every "yes"
 must carry a witness that meets k: a spanning out-tree for the two
 out-branching solvers, a simple directed path for the k-path solver.
 The k-path solver's two shortcuts get their own oracles: the path DP that
-stops at a target length, and the skip of ball regions that lie inside
+returns None short of a target length and otherwise stops at its first
+path of that length, and the skip of ball regions that lie inside
 a failed one, which must not change the first region that succeeds.
 The checks that guard a returned "yes" raise DPInvariantError when a
 witness falls short; `tests/test_optimize.py` runs this file under
@@ -120,13 +121,15 @@ def test_solve_kpath_matches_oracle(case):
 def test_dp_longest_path_stops_at_target(case):
     d, k, _ = case
     longest, _ = brute_longest_path(d)
-    count, path = dp_longest_path(d, target=k)
+    best = dp_longest_path(d, target=k)
+    if longest < k:
+        assert best is None, (d.arcs, k, best)
+        return
+    assert best is not None, (d.arcs, k)
+    count, path = best
     assert len(path) == count + 1 and len(set(path)) == len(path), path
     assert all(d.has_arc(u, v) for u, v in zip(path, path[1:])), path
-    if longest >= k:
-        assert k <= count <= longest, (d.arcs, k, count)
-    else:
-        assert count == longest, (d.arcs, k, count)
+    assert k <= count <= longest, (d.arcs, k, count)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from outbranching import (
     underlying_graph,
     validate_out_tree,
 )
+from outbranching import treedp
 from outbranching.generators import generate, grid_spec
 from outbranching.treedp import (
     EDGE,
@@ -378,10 +380,85 @@ def test_dps_match_oracles_on_random_decompositions(case):
     assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
 
     # the cap doubles as a target length
-    count, path = dp_longest_path(d, nice, target=cap)
-    assert cap <= count <= length if length >= cap else count == length
+    best = dp_longest_path(d, nice, target=cap)
+    if length < cap:
+        assert best is None
+        return
+    count, path = best
+    assert cap <= count <= length
     assert len(path) == count + 1 == len(set(path))
     assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
+
+
+def _kept_steps(d, nice, engine):
+    """Every step _execute keeps (all but a hit step), in run order."""
+    steps, count = [], treedp._count
+
+    def record(states, step):
+        steps.append(step)
+        return count(states, step)
+
+    with mock.patch.object(treedp, "_count", record):
+        _execute(d, nice, engine)
+    return steps
+
+
+@st.composite
+def bound_cases(draw):
+    """A digraph on at most 7 vertices, a mode (internal, capped internal
+    or path), a root, a cap, an elimination order, and an offset of the
+    target from the optimum: offsets 0 put the optimum right on it."""
+    d, root, cap, order = draw(dp_cases())
+    mode = draw(st.sampled_from(("internal", "capped", "path")))
+    offset = draw(st.sampled_from((-2, -1, 0, 0, 1)))
+    return d, mode, root, cap, order, offset
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bound_cases())
+def test_bounded_tables_are_the_unbounded_ones_restricted(case):
+    d, mode, root, cap, order, offset = case
+    nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
+    if mode == "path":
+        root = cap = None
+        opt = brute_longest_path(d)[0]
+    else:
+        cap = cap if mode == "capped" else None
+        opt = brute_max_internal_tree(d, root, max_size=cap or d.n)
+    target = max(1, opt + offset)
+    full = _kept_steps(d, nice, _TreeEngine(d, root, False, cap))
+    bounded = _kept_steps(d, nice, _TreeEngine(d, root, False, cap, target))
+    # the forgotten vertices below each step, counted on the full run
+    forgotten = {}
+    for step in full:
+        forgotten[id(step)] = (step.kind == FORGET) + sum(forgotten[id(p)] for p in step.prev)
+    assert len(bounded) <= len(full)
+    for b, u in zip(bounded, full):
+        assert b.kind == u.kind
+        assert b.table.items() <= u.table.items(), (d.arcs, mode, target)
+        if b.kind in (FORGET, JOIN):
+            # score + vertices not forgotten - in-bag vertices outside
+            left = d.n - forgotten[id(u)]
+            want = {s: v for s, v in u.table.items() if v + left - s[0].count(-1) >= target}
+            assert b.table == want, (d.arcs, mode, target, b.kind)
+            assert b.back.keys() == want.keys()
+
+    if mode == "path":
+        best = dp_longest_path(d, nice, target=target)
+    else:
+        best = dp_max_internal_outtree(d, root, nice, size_cap=cap, target=target)
+    assert (best is None) == (opt < target), (d.arcs, mode, target, opt, best)
+    if best is None:
+        return
+    if mode == "path":
+        count, path = best
+        assert target <= count <= opt and len(path) == count + 1 == len(set(path))
+        assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
+    else:
+        internal, tree = best
+        assert internal == opt and len(tree.internal_vertices()) == opt
+        validate_out_tree(d, tree)
+        assert tree.root == root and tree.size <= (cap or d.n)
 
 
 def test_corrupt_witness_raises_under_optimize():
