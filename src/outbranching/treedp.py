@@ -31,6 +31,23 @@ insert or delete a bit; a join tests two flag sets for overlap with
 with the same in-bag mask, and only then crosses the flag ints of the
 two groups.  Partition updates are memoized.
 
+In the two rooted modes a child bit blocks nothing: an edge blocks a
+tail with a child only on a path, and a join makes only the parent bits
+exclusive.  A child bit only decides what a vertex scores when it is
+forgotten: a leaf (bit 0) for max leaves, an internal vertex (bit 1)
+for max internal.  So among states with the same (blocks, parent_bits,
+status, size), one with at least another's score and child bits that
+are a subset (max leaves) or a superset (max internal) of the other's
+does at least as well in every completion.  Every forget and join keeps
+only each group's undominated states, its Pareto frontier.  Each op maps
+a dominated state to one that is still dominated, so every table kept
+is exactly the undominated part of the full run's table, with the same
+scores, and every optimum is unchanged.  A dominator has the same blocks
+and at least the score, so it also has at least the bound below, and
+pruning and the target bound commute.  The path engine prunes nothing:
+there a child bit blocks a second child.  Pruning only deletes states,
+so a kept table lists its states in the unpruned table's order.
+
 The internal and path DPs also run as decision procedures for a target
 k.  A vertex already forgotten has scored or never will, and one marked
 outside the solution stays outside, so a state's final score is at most
@@ -80,6 +97,31 @@ def _push(table, back, state, score, prov):
     if old is None or score > old:
         table[state] = score
         back[state] = prov
+
+
+def _dominated(group, fewer_children_win):
+    """The child-bit sets of group, a dict {child_bits: score}, that
+    another item of group dominates.
+
+    An item dominates another when it has at least its score and child
+    bits that are a subset (fewer_children_win) or a superset of its own.
+    Complementing every child-bit set turns a superset test into a subset
+    test, so both rules test x & y == x.  A proper subset is also a
+    smaller int, so ranking by score, then by that int, puts every item
+    after each item that dominates it, and one pass against the items
+    kept so far finds the dominated ones.
+    """
+
+    flip = 0 if fewer_children_win else -1
+    kept, dropped = [], []
+    for _, x in sorted((-score, cb ^ flip) for cb, score in group.items()):
+        for c in kept:
+            if c & x == c:
+                dropped.append(x ^ flip)
+                break
+        else:
+            kept.append(x)
+    return dropped
 
 
 def _uf_find(parent, a):
@@ -227,6 +269,10 @@ class _TreeEngine:
     size counts the solution vertices seen so far under a size_cap and
     stays 0 without one, so only a capped run keeps a state per size.
 
+    With a root, forget and join keep only the states no other state of
+    their (blocks, parent_bits, status, size) group dominates (see
+    _prune).  A _dominated that drops nothing turns the rule off.
+
     A target is the k of a decision run, for the non-spanning modes.
     Every state whose bound is below it is dropped: by the join, which
     _execute tells what a pair needs, and after each forget.  On a path
@@ -302,7 +348,7 @@ class _TreeEngine:
                     continue
             st = (rb, (pb & low) | (pb >> 1 & ~low), (cb & low) | (cb >> 1 & ~low), rstat, size)
             _push(table, back, st, score, s)
-        return table, back
+        return self._prune(table, back) if rooted else (table, back)
 
     def edge(self, tin, bag, e):
         u, w = e
@@ -379,6 +425,22 @@ class _TreeEngine:
                         if one and score + (lc | rc).bit_count() >= target:
                             self.hit = st
                             return table, back
+        return self._prune(table, back) if self.root is not None else (table, back)
+
+    def _prune(self, table, back):
+        """Drop from table and back, in place, each state that another
+        state of its (blocks, parent_bits, status, size) group dominates
+        (see _dominated), and return them.  Only a rooted run may."""
+
+        groups = {}
+        for (blocks, pb, cb, rstat, size), score in table.items():
+            groups.setdefault((blocks, pb, rstat, size), {})[cb] = score
+        if len(groups) < len(table):
+            for (blocks, pb, rstat, size), group in groups.items():
+                if len(group) > 1:
+                    for cb in _dominated(group, self.spanning):
+                        st = (blocks, pb, cb, rstat, size)
+                        del table[st], back[st]
         return table, back
 
 

@@ -128,13 +128,19 @@ def test_max_internal_matches_tree_oracle():
                 assert tree.size <= (cap or d.n)
 
 
+def _drop_none(group, fewer_children_win):
+    """A treedp._dominated that turns dominance pruning off."""
+    return ()
+
+
 def test_size_cap_keeps_tables_polynomial_in_the_bag_width():
     # min-fill puts all n vertices of a complete digraph in one bag; with
     # at most 3 tree vertices a table keeps a few hundred states, against
-    # about 290 000 uncapped
+    # about 290 000 uncapped (both with dominance pruning off)
     n = 8
     d = Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-    top = _execute(d, None, _TreeEngine(d, 0, spanning=False, size_cap=3))
+    with mock.patch.object(treedp, "_dominated", _drop_none):
+        top = _execute(d, None, _TreeEngine(d, 0, spanning=False, size_cap=3))
     most, stack = 0, [top]
     while stack:
         step = stack.pop()
@@ -293,12 +299,18 @@ def test_each_edge_runs_right_before_its_first_endpoint_is_forgotten():
 
 def test_late_edges_shrink_the_max_leaves_tables():
     # the states kept over every step of the max-leaves DP on a 6x6 grid
-    # (p2=0.7, root 0, min-fill): 110 718 with each edge right after the
-    # introduce that first puts both ends in a bag, 73 664 with each edge
-    # right before its first endpoint's forget
+    # (p2=0.7, root 0, min-fill), with dominance pruning off: 110 718 with
+    # each edge right after the introduce that first puts both ends in a
+    # bag, 73 664 with each edge right before its first endpoint's forget
     d = generate(grid_spec(6, p2=0.7))
-    top = _execute(d, None, _TreeEngine(d, 0, spanning=True))
+    with mock.patch.object(treedp, "_dominated", _drop_none):
+        top = _execute(d, None, _TreeEngine(d, 0, spanning=True))
     assert sum(len(step.table) for step in _steps_in_run_order(top)) < 90_000
+    # with pruning on, every forget and join drops the states another
+    # state of its table dominates, and the run keeps 16 355
+    top = _execute(d, None, _TreeEngine(d, 0, spanning=True))
+    assert sum(len(step.table) for step in _steps_in_run_order(top)) < 20_000
+    assert dp_max_leaves(d, 0)[0] == 18
 
 
 def test_longest_path_on_grid():
@@ -459,6 +471,81 @@ def test_bounded_tables_are_the_unbounded_ones_restricted(case):
         assert internal == opt and len(tree.internal_vertices()) == opt
         validate_out_tree(d, tree)
         assert tree.root == root and tree.size <= (cap or d.n)
+
+
+def _covers(t, tscore, s, score, fewer_children_win):
+    """Whether state t with tscore is s or dominates s with score."""
+    if (t[0], t[1], t[3], t[4]) != (s[0], s[1], s[3], s[4]) or tscore < score:
+        return False
+    return t[2] & ~s[2] == 0 if fewer_children_win else s[2] & ~t[2] == 0
+
+
+def _undominated_part(table, fewer_children_win):
+    groups = {}
+    for s, score in table.items():
+        groups.setdefault((s[0], s[1], s[3], s[4]), []).append((s, score))
+    return {s: score for items in groups.values() for s, score in items
+            if not any(t != s and _covers(t, v, s, score, fewer_children_win)
+                       for t, v in items)}
+
+
+@st.composite
+def dominance_cases(draw):
+    """A digraph on at most 7 vertices, a mode, a root, a cap, an
+    elimination order, and a target offset as in bound_cases."""
+    d, root, cap, order = draw(dp_cases())
+    mode = draw(st.sampled_from(("leaves", "internal", "capped", "target", "path")))
+    offset = draw(st.sampled_from((-2, -1, 0, 0, 1)))
+    return d, mode, root, cap, order, offset
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dominance_cases())
+def test_pruned_tables_are_the_undominated_part_of_the_full_ones(case):
+    d, mode, root, cap, order, offset = case
+    nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
+    spanning = mode == "leaves"
+    cap = cap if mode == "capped" else None
+    target = None
+    if mode == "path":
+        root = None
+    elif mode == "target":
+        target = max(1, brute_max_internal_tree(d, root, max_size=d.n) + offset)
+    pruned = _kept_steps(d, nice, _TreeEngine(d, root, spanning, cap, target))
+    with mock.patch.object(treedp, "_dominated", _drop_none):
+        full = _kept_steps(d, nice, _TreeEngine(d, root, spanning, cap, target))
+    assert len(pruned) == len(full)
+    for p, u in zip(pruned, full):
+        assert p.kind == u.kind
+        if root is None:
+            # a child bit blocks a second child on a path: nothing is pruned
+            assert p.table == u.table, (d.arcs, p.kind)
+            continue
+        for s, score in u.table.items():
+            assert any(_covers(t, v, s, score, spanning) for t, v in p.table.items()), (
+                d.arcs, mode, p.kind, s)
+        if p.kind in (FORGET, JOIN):
+            assert p.table == _undominated_part(u.table, spanning), (d.arcs, mode, p.kind)
+            assert p.back.keys() == p.table.keys()
+
+    if mode == "path":
+        assert dp_longest_path(d, nice)[0] == brute_longest_path(d)[0]
+    elif spanning:
+        best = dp_max_leaves(d, root, nice)
+        want = brute_max_leaves(d, root)
+        assert (best is None) == (want is None)
+        if best is not None:
+            assert best[0] == want
+            validate_out_tree(d, best[1], spanning=True)
+    else:
+        opt = brute_max_internal_tree(d, root, max_size=cap or d.n)
+        best = dp_max_internal_outtree(d, root, nice, size_cap=cap, target=target)
+        if target is not None and opt < target:
+            assert best is None
+        else:
+            internal, tree = best
+            assert internal == opt == len(tree.internal_vertices())
+            validate_out_tree(d, tree)
 
 
 def test_corrupt_witness_raises_under_optimize():
