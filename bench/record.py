@@ -2,15 +2,17 @@
 
     python bench/record.py --src src --out bench/BENCH_<n>.json [--runs 5]
 
-Each run is one ``python -m outbranching.cli bench --suite bench/ladder.json
---format json`` in a fresh interpreter that imports the package from
-``--src``.  Several ``--src``/``--out`` pairs may be given: their runs then
-alternate, so a parent and a change are timed in one session under the
-same machine drift.  The file records the git commit of each source
-tree and whether that tree has uncommitted changes; per row it holds the
-answer, whether it matches the suite's recorded truth, and the median,
-min, max and spread of ``time_ms`` over the runs.  The exit code is 1
-when any answer differs from its truth or between runs.
+Each row of each run is one ``python -m outbranching.cli bench --suite
+<that row alone> --format json`` in a fresh interpreter that imports the
+package from ``--src``.  Several ``--src``/``--out`` pairs may be given:
+each row then runs under every source back to back, in an order that
+alternates from row to row and run to run, so a parent and a change are
+timed seconds apart under the same machine drift.  The file records the
+git commit of each source tree and whether that tree has uncommitted
+changes; per row it holds the answer, whether it matches the suite's
+recorded truth, and the median, min, max and spread of ``time_ms`` over
+the runs.  The exit code is 1 when any answer differs from its truth or
+between runs.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -55,12 +58,14 @@ def git(src, *argv):
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_once(src, suite):
+def run_row(src, suite):
+    """Time the one-row suite file ``suite`` under ``src``; its bench row."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-m", "outbranching.cli", "bench",
                           "--suite", str(suite), "--format", "json"],
                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    (row,) = json.loads(out.stdout)
+    return row
 
 
 def summarize(entries, runs):
@@ -96,11 +101,18 @@ def main(argv=None):
         parser.error("--runs must be at least 3")
     entries = json.loads(SUITE.read_text())
     srcs = [Path(src).resolve() for src in args.src]
-    runs = [[] for _ in srcs]
-    for r in range(args.runs):
-        order = range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs)))
-        for i in order:
-            runs[i].append(run_once(srcs[i], SUITE))
+    # runs[i][r][index] is row index of run r under srcs[i]
+    runs = [[[] for _ in range(args.runs)] for _ in srcs]
+    with tempfile.TemporaryDirectory() as tmp:
+        suite = Path(tmp) / "row.json"
+        for r in range(args.runs):
+            for index, entry in enumerate(entries):
+                suite.write_text(json.dumps([entry]))
+                order = list(range(len(srcs)))
+                if (r + index) % 2:
+                    order.reverse()
+                for i in order:
+                    runs[i][r].append(run_row(srcs[i], suite))
     status = 0
     for i, src in enumerate(srcs):
         rows, bad = summarize(entries, runs[i])

@@ -30,7 +30,7 @@ def main():
     d1, steps = exhaust_stranding_contractions(d, root)
     print(f"\nstage 1, stranding contractions: {len(steps)} applied, "
           f"now {d1.n} vertices")
-    for before, arc in steps:
+    for arc, _ in steps:
         print(f"  contracted arc {arc}: cutting it strands two or more "
               f"vertices, so every branching uses it")
     print(f"max leaves is preserved: {brute_max_leaves(d1, root)}")
@@ -41,12 +41,13 @@ def main():
     print("a multi-stranding cut vertex is internal in every spanning")
     print("branching; an imaginary copy absorbs its would-be leaf role:")
 
-    dup, imap = duplicate_multi_cut(d1, profile.multi_cut)
-    print(f"  duplicated {sorted(imap)} -> copies "
-          f"{sorted(imap.values())}, now {dup.n} vertices")
+    dup = duplicate_multi_cut(d1, profile.multi_cut)
+    copies = dup.vertices - d1.vertices
+    print(f"  duplicated {sorted(profile.multi_cut)} -> copies "
+          f"{sorted(copies)}, now {dup.n} vertices")
     print(f"  max leaves shifts by exactly the copy count: "
           f"{brute_max_leaves(dup, root)} = "
-          f"{brute_max_leaves(d1, root)} + {len(imap)}")
+          f"{brute_max_leaves(d1, root)} + {len(copies)}")
 
     squeezed = contract_pendant_arcs(dup, profile.pendant_arcs)
     print(f"\nstage 3, pendant squeeze: 2-connected from the root now? "

@@ -13,7 +13,8 @@ Representation decisions that the rest of the package relies on:
   a chosen root keeps its id through any chain of reductions (a root is
   never the head of a contracted arc in the pipelines here). A graph does
   not remember which vertices were merged; callers that need to map a
-  witness back record the (graph_before, arc) steps and replay them.
+  witness back record each contracted arc, with what they need of the
+  graph before it, and replay them.
 * All types are immutable after construction; derived graphs are new
   objects. A contracted graph shares with its input every neighbor set
   the contraction leaves alone, which is safe because none is mutated.

@@ -96,16 +96,19 @@ class StructureReport:
 
 # What reduce_lob found for one root. report.outcome says which ending:
 # "disconnected" (digraph, steps and selected are None), "guaranteed" or
-# "reduced". digraph is the input after the stranding contractions
-# recorded in steps; selected, the set S, is set only for "reduced".
+# "reduced". digraph is the input after the stranding contractions whose
+# (arc, out_y) records are in steps; selected, the set S, is set only
+# for "reduced".
 Reduction = namedtuple("Reduction", "report digraph steps selected")
 
 
 def exhaust_stranding_contractions(digraph, root, idom=None):
     """Contract arcs stranding >= 2 vertices until none are left.
 
-    Returns (digraph, steps); steps holds (graph_before, arc) pairs in
-    application order so witnesses can be expanded back later.  Each
+    Returns (digraph, steps); steps holds one (arc, out_y) pair per
+    contraction, in application order, where out_y is the frozenset of
+    out-neighbours the arc's head had just before it was contracted: all
+    that expand_through_steps reads to map a witness back.  Each
     contraction preserves the maximum leaf count exactly.  A given
     dominator tree ``idom`` of the digraph is kept current through each
     contraction, in place, so it ends as the tree of the reduced digraph.
@@ -120,7 +123,7 @@ def exhaust_stranding_contractions(digraph, root, idom=None):
         if not arcs:
             return current, steps
         arc = min(arcs)
-        steps.append((current, arc))
+        steps.append((arc, current.out_neighbors(arc[1])))
         current = contract_arc_directed(current, arc)
         _contract_tree(idom, arc)
 
@@ -143,21 +146,19 @@ def duplicate_multi_cut(digraph, multi_cut):
 
     The copy inherits all in-arcs and out-arcs of the original from and to
     real vertices; copies are never adjacent to each other or to their
-    original.  Returns (dup_digraph, imap) where imap maps original ids to
-    copy ids.  Copies get ids above every existing one.
+    original.  Returns the new digraph.  Copies get ids above every
+    existing one, in the sorted order of their originals.
     """
 
     base = max(digraph.vertices, default=-1) + 1
-    imap = {}
-    for i, x in enumerate(sorted(multi_cut)):
-        imap[x] = base + i
+    copies = range(base, base + len(multi_cut))
     arcs = set(digraph.arcs)
-    for x, copy in imap.items():
+    for x, copy in zip(sorted(multi_cut), copies):
         for u in digraph.in_neighbors(x):
             arcs.add((u, copy))
         for v in digraph.out_neighbors(x):
             arcs.add((copy, v))
-    return Digraph(digraph.vertices | set(imap.values()), arcs), imap
+    return Digraph(digraph.vertices.union(copies), arcs)
 
 
 def contract_pendant_arcs(digraph, pendant_arcs):
@@ -218,7 +219,7 @@ def reduce_lob(digraph, root, k):
     k_eff = k + len(profile.multi_cut)
     report.k_effective = k_eff
 
-    dup, _ = duplicate_multi_cut(reduced, profile.multi_cut)
+    dup = duplicate_multi_cut(reduced, profile.multi_cut)
     report.dup_n = dup.n
     report.dup_m = dup.m
     two_connected = contract_pendant_arcs(dup, profile.pendant_arcs)
@@ -260,36 +261,24 @@ def reduce_lob(digraph, root, k):
     return Reduction(report, reduced, steps, selected)
 
 
-def expand_arc_contraction(tree, graph_before, arc):
-    """Undo one contraction step on a spanning branching.
+def expand_through_steps(tree, steps):
+    """Replay recorded contraction steps backwards on a witness.
 
-    The merged vertex keeps the tail's id x; the head y is re-inserted as
-    a child of x.  Children of the merged vertex move below y when the
-    pre-contraction graph has the arc from y, otherwise they stay below x.
-    The leaf count never drops.
+    The merged vertex kept the tail's id x, so each step, last first,
+    re-inserts the head y as a child of x and moves below y every child
+    of x that y had an arc to.  The leaf count never drops.  The result
+    is not validated here: solve_lob checks it against the input once.
     """
 
-    x, y = arc
-    vertices = tree.vertex_set
-    if y in vertices or x not in vertices:
-        raise DPInvariantError(f"step ({x}, {y}) does not match the tree")
-    parents = dict(tree.parents)
-    for z in tree.children(x):
-        if graph_before.has_arc(y, z):
-            parents[z] = y
-    parents[y] = x
-    out = witness_tree(graph_before, tree.root, parents)
-    if len(out.leaves()) < len(tree.leaves()):
-        raise DPInvariantError(f"undoing step ({x}, {y}) lost leaves")
-    return out
-
-
-def expand_through_steps(tree, steps):
-    """Replay recorded contraction steps backwards on a witness."""
-
-    for graph_before, arc in reversed(steps):
-        tree = expand_arc_contraction(tree, graph_before, arc)
-    return tree
+    root, parents = tree.root, dict(tree.parents)
+    for (x, y), out_y in reversed(steps):
+        if y == root or y in parents or (x != root and x not in parents):
+            raise DPInvariantError(f"step ({x}, {y}) does not match the tree")
+        for z in out_y:
+            if parents.get(z) == x:
+                parents[z] = y
+        parents[y] = x
+    return OutTree(root, parents)
 
 
 def _dp_witness(outcome):

@@ -83,8 +83,8 @@ ABSENT = -1
 CLOSED = -2
 EDGE = "edge"
 
-# The most states one run may keep over all its steps.  About 200 bytes
-# were measured per kept state, so this is about 2 GB.
+# The most states one run may keep over all its steps.  About 255 bytes
+# were measured per kept state, so this is about 2.6 GB.
 DP_STATE_BUDGET = 10_000_000
 
 

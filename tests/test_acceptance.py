@@ -183,7 +183,7 @@ def test_criterion_5_claim_properties():
                         contraction_ok += 1
                 profile = cut_profile(d1, r)
                 if profile.multi_cut and duplication_ok < 120:
-                    dup, _ = duplicate_multi_cut(d1, profile.multi_cut)
+                    dup = duplicate_multi_cut(d1, profile.multi_cut)
                     want = (brute_max_leaves(d1, r)
                             + len(profile.multi_cut))
                     if brute_max_leaves(dup, r) != want:
@@ -198,7 +198,7 @@ def test_criterion_5_claim_properties():
                     else:
                         forcing_ok += 1
                 if squeeze_ok < 120:
-                    dup, _ = duplicate_multi_cut(d1, profile.multi_cut)
+                    dup = duplicate_multi_cut(d1, profile.multi_cut)
                     squeezed = contract_pendant_arcs(
                         dup, profile.pendant_arcs)
                     if not is_rooted_2connected(squeezed, r):

@@ -9,6 +9,7 @@ from outbranching import (
     Digraph,
     DPInvariantError,
     brute_max_leaves,
+    contract_arc_directed,
     is_rooted_2connected,
     reachable,
     underlying_graph,
@@ -19,7 +20,6 @@ from outbranching.leaf_pipeline import (
     contract_pendant_arcs,
     duplicate_multi_cut,
     exhaust_stranding_contractions,
-    expand_arc_contraction,
     expand_through_steps,
     reduce_lob,
     solve_lob,
@@ -106,7 +106,7 @@ def test_a_contraction_can_make_a_new_stranding_arc():
     # is 2's only in-neighbour and (0, 2) strands {2, 3}
     d = Digraph.of(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)])
     reduced, steps = exhaust_stranding_contractions(d, 0)
-    assert [arc for _, arc in steps] == [(0, 1), (0, 2)]
+    assert [arc for arc, _ in steps] == [(0, 1), (0, 2)]
     assert sorted(reduced.arcs) == [(0, 3), (0, 4)]
 
 
@@ -120,7 +120,7 @@ def test_duplication_shifts_max_leaves_by_multi_cut_count():
             profile = cut_profile(reduced, r)
             if not profile.multi_cut:
                 continue
-            dup, imap = duplicate_multi_cut(reduced, profile.multi_cut)
+            dup = duplicate_multi_cut(reduced, profile.multi_cut)
             want = brute_max_leaves(reduced, r) + len(profile.multi_cut)
             assert brute_max_leaves(dup, r) == want, (d.arcs, r)
             checked += 1
@@ -131,11 +131,12 @@ def test_duplicates_are_not_adjacent_to_each_other():
     d = multi_cut_instance()
     reduced, _ = exhaust_stranding_contractions(d, 0)
     profile = cut_profile(reduced, 0)
-    dup, imap = duplicate_multi_cut(reduced, profile.multi_cut)
-    copies = set(imap.values())
+    dup = duplicate_multi_cut(reduced, profile.multi_cut)
+    copies = dup.vertices - reduced.vertices
+    assert len(copies) == len(profile.multi_cut)
     for a, b in dup.arcs:
         assert not (a in copies and b in copies)
-    for x, c in imap.items():
+    for x, c in zip(sorted(profile.multi_cut), sorted(copies)):
         assert not dup.has_arc(x, c) and not dup.has_arc(c, x)
         assert dup.in_neighbors(c) == dup.in_neighbors(x) - {c}
         assert dup.out_neighbors(c) == dup.out_neighbors(x) - {c}
@@ -301,7 +302,7 @@ def test_pendant_contraction_reaches_rooted_2connected():
                 continue
             reduced, _ = exhaust_stranding_contractions(d, r)
             profile = cut_profile(reduced, r)
-            dup, _ = duplicate_multi_cut(reduced, profile.multi_cut)
+            dup = duplicate_multi_cut(reduced, profile.multi_cut)
             squeezed = contract_pendant_arcs(dup, profile.pendant_arcs)
             assert is_rooted_2connected(squeezed, r), (d.arcs, r)
             checked += 1
@@ -334,7 +335,7 @@ def test_reduced_selected_set_excludes_imaginary_vertices():
 def test_expand_contraction_round_trip():
     d = Digraph.of(4, [(0, 1), (1, 2), (1, 3)])
     reduced, steps = exhaust_stranding_contractions(d, 0)
-    assert len(steps) == 1 and steps[0][1] == (0, 1)
+    assert len(steps) == 1 and steps[0][0] == (0, 1)
     tree = bfs_branching(reduced, 0)
     expanded = expand_through_steps(tree, steps)
     validate_out_tree(d, expanded, spanning=True)
@@ -342,14 +343,50 @@ def test_expand_contraction_round_trip():
 
 
 def test_expand_prefers_head_side_children():
-    # contracted tree has children that only the head could feed
+    # contracted tree has children that only the head could feed; the
+    # step records the head's out-neighbours, not the tail's {1, 3}
     before = Digraph.of(4, [(0, 1), (1, 2), (1, 3), (0, 3)])
-    from outbranching import contract_arc_directed
-    after = contract_arc_directed(before, (0, 1))
+    after, steps = exhaust_stranding_contractions(before, 0)
+    assert steps == [((0, 1), frozenset({2, 3}))]
+    assert after == contract_arc_directed(before, (0, 1))
     tree = bfs_branching(after, 0)
-    expanded = expand_arc_contraction(tree, before, (0, 1))
-    assert expanded.parents[2] == 1
+    assert tree.parents == {2: 0, 3: 0}
+    expanded = expand_through_steps(tree, steps)
+    assert expanded.parents == {1: 0, 2: 1, 3: 1}
     validate_out_tree(before, expanded, spanning=True)
+
+
+def test_expand_rejects_a_step_that_does_not_match_the_tree():
+    tree = bfs_branching(Digraph.of(2, [(0, 1)]), 0)
+    for arc in ((0, 1), (2, 3)):
+        with pytest.raises(DPInvariantError, match="does not match"):
+            expand_through_steps(tree, [(arc, frozenset())])
+
+
+def test_lob_on_paths_validates_a_fixed_number_of_trees():
+    # a directed path contracts n - 2 arcs; each step keeps only its arc
+    # and a frozenset, and the replayed witness is validated once
+    def validations(n):
+        path = Digraph.of(n, [(i, i + 1) for i in range(n - 1)])
+        steps = reduce_lob(path, 0, 1).steps
+        assert len(steps) == n - 2
+        assert not any(isinstance(part, Digraph)
+                       for step in steps for part in step)
+        count = 0
+        check = leaf_pipeline.witness_tree
+
+        def counting(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return check(*args, **kwargs)
+
+        with mock.patch.object(leaf_pipeline, "witness_tree", counting):
+            res = solve_lob(path, 1, root=0)
+        assert res.satisfiable
+        validate_out_tree(path, res.witness, spanning=True)
+        return count
+
+    assert validations(200) == validations(800)
 
 
 def test_solve_matches_oracle_with_witnesses():
@@ -383,7 +420,8 @@ def test_grid_solves():
 def carried_trees_match_fresh_ones(d):
     """Run the stranding contractions from every root of d, recording the
     dominator tree kept through each contraction, and check each against
-    a fresh one of the contracted graph. Returns the steps taken."""
+    a fresh one of the graph that replaying the recorded arcs with
+    contract_arc_directed gives. Returns the steps taken."""
     update = leaf_pipeline._contract_tree
     count = 0
     for r in sorted(d.vertices):
@@ -395,7 +433,12 @@ def carried_trees_match_fresh_ones(d):
 
         with mock.patch.object(leaf_pipeline, "_contract_tree", recording):
             reduced, steps = exhaust_stranding_contractions(d, r)
-        after = [g for g, _ in steps[1:]] + ([reduced] if steps else [])
+        after, g = [], d
+        for arc, out_y in steps:
+            assert out_y == g.out_neighbors(arc[1]), (d.arcs, r, arc)
+            g = contract_arc_directed(g, arc)
+            after.append(g)
+        assert g == reduced, (d.arcs, r)
         assert trees == [_idoms(g, r) for g in after], (d.arcs, r)
         count += len(steps)
     return count
