@@ -25,6 +25,7 @@ it from the family's hidden constants.
 """
 
 import math
+from collections import namedtuple
 from itertools import combinations
 
 from .digraph import underlying_graph
@@ -49,13 +50,7 @@ def ball(graph, center, radius):
     return frozenset(seen)
 
 
-class PathSearchResult:
-    __slots__ = ("satisfiable", "witness", "stats")
-
-    def __init__(self, satisfiable, witness, stats):
-        self.satisfiable = satisfiable
-        self.witness = witness
-        self.stats = stats
+PathSearchResult = namedtuple("PathSearchResult", "satisfiable witness stats")
 
 
 def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):

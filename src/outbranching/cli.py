@@ -81,7 +81,7 @@ def _cmd_solve(args):
         payload["witness"] = _tree_payload(res.witness)
         payload["reports"] = res.reports
         if args.problem == "lob":
-            payload["reports"] = [r.as_dict() for r in res.reports]
+            payload["reports"] = [r._asdict() for r in res.reports]
     _emit(payload, args.format)
     return 0
 

@@ -32,6 +32,8 @@ y. The reached vertices are those of G minus y, and the nearest
 dominator of each is as before, with y replaced by its own idom x.
 """
 
+from collections import namedtuple
+
 # In-degree at which a vertex counts as "high" in the leaf-count bounds.
 HIGH_INDEGREE = 3
 
@@ -124,25 +126,16 @@ def is_rooted_2connected(digraph, root):
     return all(x == root for x in _idoms(digraph, root, spanning=True).values())
 
 
-class CutProfile:
-    """Cut structure of a rooted digraph, field by field:
-      stranded: {x: frozenset of out-neighbors of x unreachable without x},
-        one key per cut vertex x, i.e. every x != r whose deletion strands
-        some vertex.
-      multi_cut: cut vertices stranding >= 2 of their own out-neighbors.
-      single_cut: cut vertices stranding exactly 1.
-      pendant_arcs: the arc from each single_cut vertex into the vertex it
-        strands; after the stranding-arc contraction phase these form a
-        matching.
-    """
-
-    __slots__ = ("stranded", "multi_cut", "single_cut", "pendant_arcs")
-
-    def __init__(self, stranded, multi_cut, single_cut, pendant_arcs):
-        self.stranded = stranded
-        self.multi_cut = multi_cut
-        self.single_cut = single_cut
-        self.pendant_arcs = pendant_arcs
+# Cut structure of a rooted digraph, field by field:
+#   stranded: {x: frozenset of out-neighbors of x unreachable without x},
+#     one key per cut vertex x, i.e. every x != r whose deletion strands
+#     some vertex.
+#   multi_cut: cut vertices stranding >= 2 of their own out-neighbors.
+#   single_cut: cut vertices stranding exactly 1.
+#   pendant_arcs: the arc from each single_cut vertex into the vertex it
+#     strands; after the stranding-arc contraction phase these form a
+#     matching.
+CutProfile = namedtuple("CutProfile", "stranded multi_cut single_cut pendant_arcs")
 
 
 def cut_profile(digraph, root, idom=None):

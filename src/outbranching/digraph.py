@@ -22,6 +22,8 @@ Representation decisions that the rest of the package relies on:
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import DPInvariantError
 
 
@@ -325,17 +327,9 @@ class OutTree:
                 f"leaves={len(self.leaves())})")
 
 
-class SearchResult:
-    """Outcome of a spanning out-tree search: the first root that
-    succeeded, its witness if requested, and one report per root tried."""
-
-    __slots__ = ("satisfiable", "root", "witness", "reports")
-
-    def __init__(self, satisfiable, root, witness, reports):
-        self.satisfiable = satisfiable
-        self.root = root
-        self.witness = witness
-        self.reports = reports
+# Outcome of a spanning out-tree search: the first root that succeeded,
+# its witness if requested, and one report per root tried.
+SearchResult = namedtuple("SearchResult", "satisfiable root witness reports")
 
 
 def validate_out_tree(digraph, tree, spanning=False):

@@ -21,9 +21,10 @@ chain of structure-preserving rewrites:
    small width, so dynamic programming is cheap afterwards.
 
 reduce_lob returns one Reduction record for every root, whichever way
-the reduction ends: its StructureReport says "disconnected" when the
-root misses a vertex (no), "guaranteed" when a count fired (yes, with
-the count named as the reason) or "reduced".  The actual yes/no for the
+the reduction ends.  Its report, an immutable StructureReport built
+from the values each stage computed, says "disconnected" when the root
+misses a vertex (no), "guaranteed" when a count fired (yes, with the
+count named as the reason) or "reduced".  The actual yes/no for the
 reduced case is decided by the spanning branching dynamic program on the
 contracted graph.  solve_lob expands every yes's tree back to the input
 digraph and validates it in one place.
@@ -60,41 +61,19 @@ NICE_FACTOR = 24
 WITNESS_WIDTH_LIMIT = 11
 
 
-class StructureReport:
-    """Everything the reduction learned about one root."""
+# Everything the reduction learned about one root, an immutable record:
+# reduce_lob builds it once per stage from the values that stage computed.
+# A field the reduction never reached keeps its default: None, or 0 for
+# contractions.
+StructureReport = namedtuple(
+    "StructureReport",
+    "root k outcome reason contractions reduced_n reduced_m multi_cut_count "
+    "single_cut_count k_effective dup_n dup_m alpha beta boundary_size "
+    "selected_size unreachable_count",
+    defaults=(None, None, 0) + (None,) * 12)
 
-    __slots__ = ("root", "k", "outcome", "reason", "contractions", "reduced_n",
-                 "reduced_m", "multi_cut_count", "single_cut_count",
-                 "k_effective", "dup_n", "dup_m", "alpha", "beta",
-                 "boundary_size", "selected_size", "unreachable_count")
-
-    def __init__(self, root, k):
-        self.root = root
-        self.k = k
-        self.outcome = None
-        self.reason = None
-        self.contractions = 0
-        self.reduced_n = None
-        self.reduced_m = None
-        self.multi_cut_count = None
-        self.single_cut_count = None
-        self.k_effective = None
-        self.dup_n = None
-        self.dup_m = None
-        self.alpha = None
-        self.beta = None
-        self.boundary_size = None
-        self.selected_size = None
-        self.unreachable_count = None
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self):
-        return f"StructureReport(root={self.root}, outcome={self.outcome!r}, reason={self.reason!r})"
-
-
-# What reduce_lob found for one root. report.outcome says which ending:
+# What reduce_lob found for one root. report, an immutable
+# StructureReport, says in its outcome which ending:
 # "disconnected" (digraph, steps and selected are None), "guaranteed" or
 # "reduced". digraph is the input after the stranding contractions whose
 # (arc, out_y) records are in steps; selected, the set S, is set only
@@ -192,36 +171,28 @@ def reduce_lob(digraph, root, k):
 
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    report = StructureReport(root, k)
     # the dominator tree holds exactly the vertices the root reaches
     idom = _idoms(digraph, root)
     missing = digraph.vertices - idom.keys()
     if missing:
-        report.outcome = "disconnected"
-        report.unreachable_count = len(missing)
+        report = StructureReport(root, k, "disconnected",
+                                 unreachable_count=len(missing))
         return Reduction(report, None, None, None)
 
     # the root reaches everything, so the tree of the reduced graph spans
     reduced, steps = exhaust_stranding_contractions(digraph, root, idom)
-    report.contractions = len(steps)
-    report.reduced_n = reduced.n
-    report.reduced_m = reduced.m
-
     profile = cut_profile(reduced, root, idom)
-    report.multi_cut_count = len(profile.multi_cut)
-    report.single_cut_count = len(profile.single_cut)
+    report = StructureReport(
+        root, k, contractions=len(steps), reduced_n=reduced.n,
+        reduced_m=reduced.m, multi_cut_count=len(profile.multi_cut),
+        single_cut_count=len(profile.single_cut))
 
     if len(profile.multi_cut) >= k:
-        report.outcome = "guaranteed"
-        report.reason = "multi_cut_count"
+        report = report._replace(outcome="guaranteed", reason="multi_cut_count")
         return Reduction(report, reduced, steps, None)
 
     k_eff = k + len(profile.multi_cut)
-    report.k_effective = k_eff
-
     dup = duplicate_multi_cut(reduced, profile.multi_cut)
-    report.dup_n = dup.n
-    report.dup_m = dup.m
     two_connected = contract_pendant_arcs(dup, profile.pendant_arcs)
     # the counting shortcuts below are only sound on this graph
     if not is_rooted_2connected(two_connected, root):
@@ -235,29 +206,24 @@ def reduce_lob(digraph, root, k):
         {(u, root) for u in two_connected.in_neighbors(root)})
     high = high_indegree_vertices(view)
     nice = nice_vertices(view)
-    report.alpha = len(high)
-    report.beta = len(nice)
+    report = report._replace(k_effective=k_eff, dup_n=dup.n, dup_m=dup.m,
+                             alpha=len(high), beta=len(nice))
 
-    if report.alpha >= HIGH_INDEGREE_FACTOR * k_eff:
-        report.outcome = "guaranteed"
-        report.reason = "high_indegree_count"
+    if len(high) >= HIGH_INDEGREE_FACTOR * k_eff:
+        report = report._replace(outcome="guaranteed", reason="high_indegree_count")
         return Reduction(report, reduced, steps, None)
-    if report.beta >= NICE_FACTOR * k_eff:
-        report.outcome = "guaranteed"
-        report.reason = "nice_vertex_count"
+    if len(nice) >= NICE_FACTOR * k_eff:
+        report = report._replace(outcome="guaranteed", reason="nice_vertex_count")
         return Reduction(report, reduced, steps, None)
 
     boundary = high | nice
-    report.boundary_size = len(boundary)
-
     # Each boundary vertex stands for itself plus the head of the pendant
     # arc it absorbed, if any: the pendant arcs form a matching and the
     # merged vertex keeps the tail's id. Copies are not in `reduced`.
     absorbed = {y for x, y in profile.pendant_arcs if x in boundary}
     selected = frozenset((boundary | absorbed) & reduced.vertices)
-    report.selected_size = len(selected)
-
-    report.outcome = "reduced"
+    report = report._replace(outcome="reduced", boundary_size=len(boundary),
+                             selected_size=len(selected))
     return Reduction(report, reduced, steps, selected)
 
 

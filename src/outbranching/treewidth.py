@@ -70,10 +70,6 @@ class TreeDecomposition:
     def width(self):
         return max(len(bag) for bag in self.bags.values()) - 1
 
-    @property
-    def node_count(self):
-        return len(self.bags)
-
     def neighbors(self, node):
         return self._adj[node]
 

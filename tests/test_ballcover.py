@@ -3,11 +3,7 @@ import pytest
 from outbranching import (Digraph, BudgetError, bfs_layers, brute_longest_path,
                           underlying_graph)
 from outbranching import ballcover
-from outbranching.ballcover import (
-    PathSearchResult,
-    ball,
-    solve_kpath_ballcover,
-)
+from outbranching.ballcover import ball, solve_kpath_ballcover
 from outbranching.treedp import dp_longest_path
 from helpers import grid_digraph, random_corpus
 
@@ -21,6 +17,8 @@ def test_ball_basics():
     assert ball(g, 0, 99) == {0, 1, 2}
     with pytest.raises(ValueError):
         ball(g, 0, -1)
+    with pytest.raises(ValueError, match="center 3 not in graph"):
+        ball(g, 3, 1)
 
 
 def test_ball_stops_at_component():

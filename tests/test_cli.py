@@ -94,6 +94,14 @@ def test_verify_agrees(capsys, tmp_path):
         assert json.loads(out)["match"] is True
 
 
+def test_verify_kpath_without_b_exits_two(capsys, tmp_path):
+    path = write_instance(tmp_path, PATH4)
+    code, out, err = run(capsys, "verify", "--input", path, "--problem",
+                         "kpath", "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: invalid: --b is required for --problem kpath\n"
+
+
 def test_verify_kpath_on_a_long_path(capsys, tmp_path):
     # the oracle's search goes 1099 arcs deep, past the recursion limit
     n = 1100
@@ -361,6 +369,16 @@ def test_analyze_json_and_csv(capsys, tmp_path):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert lines[0].startswith("root,k,outcome")
+
+
+def test_analyze_without_a_root_takes_the_lowest_vertex(capsys, tmp_path):
+    # vertex 0 reaches nothing, so its report differs from every other root's
+    path = write_instance(tmp_path, "4 3\n1 0\n1 2\n1 3\n")
+    code, out, err = run(capsys, "analyze", "--input", path, "--k", "1")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["root"] == 0 and payload["outcome"] == "disconnected"
+    assert run(capsys, "analyze", "--input", path, "--k", "1", "--root", "0")[1] == out
 
 
 def test_bench_default_and_suite(capsys, tmp_path):

@@ -88,6 +88,8 @@ def test_bfs_layers_partition_and_adjacency():
     layers, unreachable = bfs_layers(g, 0)
     assert layers == [{0}, {1, 4}, {2}, {3}]
     assert unreachable == {5}
+    with pytest.raises(ValueError, match="root 6 not in graph"):
+        bfs_layers(g, 6)
     # consecutive layers touch, distant ones do not
     for i, layer in enumerate(layers):
         for v in layer:

@@ -83,7 +83,7 @@ def outputs(call):
     else:
         out["found_root"] = res.root
         out["found"] = None if res.witness is None else sorted(res.witness.arcs())
-        out["reports"] = [r.as_dict() if problem == "lob" else r for r in res.reports]
+        out["reports"] = [r._asdict() if problem == "lob" else r for r in res.reports]
     # tuples become lists, as they do in the file
     return json.loads(json.dumps(out))
 

@@ -49,6 +49,8 @@ def test_witness_size_cap_values():
 def test_bad_k_and_root_raise_value_error():
     with pytest.raises(ValueError):
         witness_size_cap(0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        solve_iob(bidirected_chain(3), 0)
     with pytest.raises(ValueError):
         build_partitions(underlying_graph(bidirected_chain(3)), 0, 0)
     with pytest.raises(ValueError):

@@ -75,6 +75,8 @@ def test_bad_root_and_k_raise_value_error():
         solve_lob(d, 1, root=7)
     with pytest.raises(ValueError, match="k must be at least 1"):
         reduce_lob(d, 0, 0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        solve_lob(d, 0)
 
 
 def test_reduce_reports_a_disconnected_root():

@@ -161,9 +161,8 @@ def test_lob_yes_guards_raise(monkeypatch):
         solve_lob(K4, 3, root=0)
 
     def guaranteed(digraph, root, k):
-        report = leaf_pipeline.StructureReport(root, k)
-        report.outcome = "guaranteed"
-        report.reason = "high_indegree_count"
+        report = leaf_pipeline.StructureReport(
+            root, k, outcome="guaranteed", reason="high_indegree_count")
         return leaf_pipeline.Reduction(report, digraph, [], None)
 
     monkeypatch.setattr(leaf_pipeline, "reduce_lob", guaranteed)

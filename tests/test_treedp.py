@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outbranching import (
+    BudgetError,
     Digraph,
     brute_longest_path,
     brute_max_internal,
@@ -177,6 +178,10 @@ def test_longest_path_known():
     empty = Digraph.of(3, [])
     k, wit = dp_longest_path(empty)
     assert k == 0 and len(wit) == 1
+    # no vertices: the empty path, unless a target asks for an arc
+    nothing = Digraph.of(0, [])
+    assert dp_longest_path(nothing) == dp_longest_path(nothing, target=0) == (0, [])
+    assert dp_longest_path(nothing, target=1) is None
 
 
 def test_longest_path_matches_oracle():
@@ -318,6 +323,16 @@ def test_longest_path_on_grid():
     got, wit = dp_longest_path(d)
     want, _ = brute_longest_path(d)
     assert got == want == 8
+
+
+def test_a_join_past_the_state_budget_raises_from_inside_the_join(monkeypatch):
+    # on the bidirected 3x4 grid the running state count first passes 325
+    # inside a join; the check after each step would only see it once the
+    # whole join table is built
+    monkeypatch.setattr(treedp, "DP_STATE_BUDGET", 325)
+    with pytest.raises(BudgetError, match="needs 328, budget 325") as info:
+        dp_longest_path(grid_digraph(3, 4))
+    assert info.traceback[-1].name == "join"
 
 
 def test_dps_on_a_path_deeper_than_the_recursion_limit():
