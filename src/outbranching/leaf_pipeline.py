@@ -54,7 +54,7 @@ from .digraph import (
 )
 from .errors import DPInvariantError
 from .treedp import dp_max_leaves
-from .treewidth import greedy_decomposition, make_nice
+from .treewidth import greedy_decomposition_within, make_nice
 
 HIGH_INDEGREE_FACTOR = 6
 NICE_FACTOR = 24
@@ -248,11 +248,16 @@ def expand_through_steps(tree, steps):
 
 
 def _dp_witness(outcome):
-    """Solve the reduced graph exactly; used when a witness is wanted."""
+    """Solve the reduced graph exactly; used when a witness is wanted.
 
-    ug = underlying_graph(outcome.digraph)
-    td = greedy_decomposition(ug)
-    if td.width > WITNESS_WIDTH_LIMIT:
+    Returns (None, None) when the min-fill width of the reduced graph is
+    above WITNESS_WIDTH_LIMIT; the elimination stops at the first bag past
+    the limit, and no decomposition is built.
+    """
+
+    td = greedy_decomposition_within(underlying_graph(outcome.digraph),
+                                     WITNESS_WIDTH_LIMIT)
+    if td is None:
         return None, None
     nice = make_nice(td)
     answer = dp_max_leaves(outcome.digraph, outcome.report.root, nice)
@@ -276,7 +281,8 @@ def solve_lob(digraph, k, root=None, witness=True):
     ascending order, stopping at the first success.  The returned witness,
     when requested, is a spanning out-branching of the input digraph with
     at least k leaves; it is None only for a counting-lemma yes whose
-    reduced graph is wider than WITNESS_WIDTH_LIMIT.
+    reduced graph is wider than WITNESS_WIDTH_LIMIT, found by a min-fill
+    elimination that stops at its first bag past the limit.
     """
 
     if k < 1:

@@ -10,10 +10,14 @@ graphs of any size.  It keeps every vertex's fill count current as
 vertices go and fill edges come, instead of re-scoring all remaining
 vertices after each elimination, and picks the least count from a heap,
 ties still toward the lowest id; the bags are the neighbourhoods that
-pass records, so the graph is eliminated once.  `exact_treewidth_small`
-runs a held-subset dynamic program over bitmasks and is only usable for
-small graphs; it exists so tests and analyses can certify optimal widths on
-instances where that is feasible.
+pass records, so the graph is eliminated once.  When only a narrow
+decomposition is of use, `greedy_decomposition_within` stops that pass at
+the first bag wider than a limit and returns None; `treewidth_upper_bound`
+reads a width from the recorded neighbourhoods without building the
+decomposition.  `exact_treewidth_small` runs a held-subset dynamic
+program over bitmasks and is only usable for small graphs; it exists so
+tests and analyses can certify optimal widths on instances where that is
+feasible.
 
 `make_nice` rewrites any decomposition into the rooted binary "nice" form
 (leaf / introduce / forget / join) that the dynamic programs consume, as
@@ -123,9 +127,12 @@ def _fill(adj, v):
     return (d * (d - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
 
 
-def _greedy_order(graph):
+def _greedy_order(graph, limit=None):
     """Min-fill elimination order, ties toward the lowest id, and the
     neighbourhood each vertex had when it was eliminated, as two lists.
+    With a limit it returns None instead, as soon as it meets a
+    neighbourhood of more than `limit` vertices: the width is the size of
+    the largest one, so that happens exactly when the width exceeds it.
 
     `fill[v]` counts the non-adjacent pairs among v's neighbours and is
     kept current through the two changes an elimination makes.  Removing
@@ -147,9 +154,11 @@ def _greedy_order(graph):
         f, v = heapq.heappop(heap)
         if fill.get(v) != f:
             continue
+        nb = adj.pop(v)
+        if limit is not None and len(nb) > limit:
+            return None
         order.append(v)
         del fill[v]
-        nb = adj.pop(v)
         neighbourhoods.append(nb)
         before = {}
         for a in nb:
@@ -224,6 +233,15 @@ def greedy_decomposition(graph):
     """
 
     return _decomposition(*_greedy_order(graph))
+
+
+def greedy_decomposition_within(graph, limit):
+    """`greedy_decomposition(graph)` if its width is at most `limit`, else
+    None.  The elimination stops at the first bag wider than the limit,
+    so a wide graph costs only the part eliminated before it."""
+
+    elimination = _greedy_order(graph, limit)
+    return None if elimination is None else _decomposition(*elimination)
 
 
 def _component_masks(graph, comp):
@@ -328,7 +346,8 @@ def treewidth_upper_bound(graph):
         if len(comp) <= EXACT_LIMIT:
             width, _ = exact_treewidth_small(sub)
         else:
-            width = greedy_decomposition(sub).width
+            # the largest recorded neighbourhood is the min-fill width
+            width = max(map(len, _greedy_order(sub)[1]))
         best = max(best, width)
     return best
 

@@ -5,6 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from outbranching import Digraph, reachable
+from outbranching.treewidth import EXACT_LIMIT, exact_treewidth_small, greedy_decomposition
 
 
 def random_digraph(rng, n_lo=4, n_hi=7, density=2.0):
@@ -232,3 +233,19 @@ def brute_min_fill_order(graph):
             adj[a].discard(best_v)
             adj[a].update(nb - {a})
     return order
+
+
+def component_width_bound(graph):
+    """The per-component width bound built from whole decompositions: the
+    exact width of a component with at most `EXACT_LIMIT` vertices, the
+    min-fill decomposition's width of a larger one; -1 with no vertices.
+    The reference `treewidth_upper_bound` must reproduce."""
+    best = -1
+    for comp in graph.components():
+        sub = graph.induced(comp)
+        if len(comp) <= EXACT_LIMIT:
+            width = exact_treewidth_small(sub)[0]
+        else:
+            width = greedy_decomposition(sub).width
+        best = max(best, width)
+    return best

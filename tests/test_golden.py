@@ -1,4 +1,5 @@
-"""A snapshot of solver outputs on a fixed corpus.
+"""A snapshot of solver outputs on a fixed corpus, and of a few whole
+`analyze` reports.
 
 Every call below goes through `analysis.solve`, and its answer, root,
 witness and reports are compared with `golden_outputs.json`. A change
@@ -22,11 +23,18 @@ if __name__ == "__main__":
     # run as a script from a checkout: import the package from src/
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from outbranching import Digraph
-from outbranching.analysis import solve
-from outbranching.generators import generate, grid_spec
+from outbranching import Digraph, underlying_graph
+from outbranching.analysis import ANALYZE_FIELDS, analyze, solve
+from outbranching.generators import GeneratorSpec, generate, grid_spec
+from outbranching.leaf_pipeline import reduce_lob
 
-from helpers import grid_digraph, multi_cut_instance, petal_instance, random_corpus
+from helpers import (
+    component_width_bound,
+    grid_digraph,
+    multi_cut_instance,
+    petal_instance,
+    random_corpus,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
@@ -123,6 +131,47 @@ def test_snapshot_reaches_every_outcome():
     assert iob >= {"witness_tree", "exhausted", "disconnected", "infeasible_k"}
     assert {(True, True), (False, True)} <= {h[:2] for h in kpath}
     assert any(h[2] for h in kpath)
+
+
+def bidirected_cycle(n):
+    return Digraph.of(n, [(i, (i + 1) % n) for i in range(n)]
+                      + [((i + 1) % n, i) for i in range(n)])
+
+
+HIGH = "guaranteed_yes:high_indegree_count"
+# (name, digraph or spec, k, the report's fields after root and k in
+# ANALYZE_FIELDS order), root 0 each
+ANALYZE_REPORTS = [
+    ("grid18", GeneratorSpec("grid", rows=18, cols=18, p2=0.7), 4,
+     (HIGH, 3, 268, 140, 1, 7, 5, None, 27, None, None, None)),
+    ("grid18", GeneratorSpec("grid", rows=18, cols=18, p2=0.7), 44,
+     ("reduced", 3, 268, 140, 1, 7, 45, 291, 27, 27, 1, 1.5827680307534828)),
+    ("bigrid12", grid_spec(12, p2=1.0), 4,
+     (HIGH, 0, 140, 2, 0, 0, 4, None, 16, None, None, None)),
+    ("bigrid12", grid_spec(12, p2=1.0), 30,
+     ("reduced", 0, 140, 2, 0, 0, 30, 140, 16, 16, 0, 1.3522468075656264)),
+    ("sparse200", GeneratorSpec("random-sparse", n=200, m=300, p2=1.0), 4,
+     ("disconnected",) + (None,) * 7 + (24, None, None, None)),
+    ("cycle20", bidirected_cycle(20), 3,
+     ("reduced", 0, 0, 2, 0, 0, 3, 2, 2, 2, 1, 1.414213562373095)),
+]
+
+
+def test_analyze_reports_match_the_snapshot():
+    # the 324-vertex grid, the 144-vertex reduced grid, the 181-vertex
+    # component of the sparse graph and the 17-vertex residual path are
+    # past the exact limit, so their widths come from min-fill
+    for name, instance, k, fields in ANALYZE_REPORTS:
+        d = instance if isinstance(instance, Digraph) else generate(instance)
+        report = analyze(d, 0, k)
+        assert report == dict(zip(ANALYZE_FIELDS, (0, k) + fields)), name
+        assert report["tw_input"] == component_width_bound(underlying_graph(d))
+        if report["outcome"] == "reduced":
+            outcome = reduce_lob(d, 0, k)
+            residue = outcome.digraph.without_vertices(outcome.selected)
+            assert report["tw_reduced"] == component_width_bound(
+                underlying_graph(outcome.digraph))
+            assert report["tw_residual"] == component_width_bound(underlying_graph(residue))
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import outbranching
 from outbranching import Digraph
+from outbranching.generators import generate, grid_spec
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -69,3 +70,31 @@ def test_trace_sees_the_dominator_work_of_a_reduction():
     assert result.reports[0].contractions == 1
     assert tracer.calls["arcs_disconnecting_two"] >= 1
     assert tracer.calls["cut_profile"] == 1
+
+
+def test_trace_of_a_wide_guaranteed_yes_changes_no_result():
+    # a bidirected 12x12 grid: the high in-degree count answers yes and
+    # the min-fill width (16) is past the witness limit. The trace reads
+    # `.width` on whatever `greedy_decomposition` returns, so a caller
+    # that needs no decomposition must not get None or a bare width from
+    # that name
+    layertrace = load_layertrace()
+    tracer = layertrace.Tracer(outbranching)
+    d = generate(grid_spec(12, p2=1.0))
+
+    def run():
+        # looked up at call time, so the traced run meets the wrappers
+        return (outbranching.solve_lob(d, 4, root=0),
+                outbranching.analysis.analyze(d, 0, 4))
+
+    plain = run()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert plain[0].satisfiable and plain[0].witness is None
+    assert tracer.calls["solve_lob"] == tracer.calls["analyze"] == 1
+    # the witness attempt stops early and builds no decomposition to drop
+    assert tracer.stats["treewidth.wasted_s"] == 0

@@ -1,3 +1,4 @@
+import heapq
 import random
 from unittest import mock
 
@@ -24,7 +25,7 @@ from outbranching.leaf_pipeline import (
     reduce_lob,
     solve_lob,
 )
-from outbranching import leaf_pipeline
+from outbranching import leaf_pipeline, treewidth
 from outbranching.connectivity import _idoms, cut_profile
 from outbranching.generators import generate, grid_spec
 from outbranching.treedp import dp_max_leaves
@@ -223,13 +224,49 @@ def test_guaranteed_by_nice_vertices_on_petal_instance():
     assert res.witness is not None
 
 
+class CountingHeap:
+    """Stands in for `heapq` inside `treewidth` and records the vertices
+    the min-fill pass pops while their entry is live: the entry is the
+    vertex's latest and the vertex is not gone yet, the same test the pass
+    makes before it eliminates a vertex or stops at it."""
+
+    def __init__(self):
+        self.latest = {}
+        self.taken = set()
+
+    def heapify(self, heap):
+        self.latest.update((v, f) for f, v in heap)
+        heapq.heapify(heap)
+
+    def heappush(self, heap, entry):
+        self.latest[entry[1]] = entry[0]
+        heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        f, v = heapq.heappop(heap)
+        if v not in self.taken and self.latest[v] == f:
+            self.taken.add(v)
+        return f, v
+
+
+def refuse(*args):
+    raise AssertionError("the witness attempt built a decomposition")
+
+
 def test_a_guaranteed_yes_past_the_witness_width_limit_has_no_witness():
     # a bidirected 12x12 grid: the high in-degree count answers yes,
     # nothing contracts, and the min-fill width (16) is above the limit,
     # so the witness DP is skipped; a cheap certificate tried before the
     # exact machinery would give this call a witness
     d = generate(grid_spec(12, p2=1.0))
-    res = solve_lob(d, 4, root=0)
+    heap = CountingHeap()
+    with mock.patch.object(treewidth, "heapq", heap), \
+            mock.patch.object(treewidth, "_decomposition", refuse), \
+            mock.patch.object(leaf_pipeline, "make_nice", refuse):
+        res = solve_lob(d, 4, root=0)
+    # the elimination stopped at a vertex whose bag is past the limit,
+    # well before it ran out of vertices
+    assert 0 < len(heap.taken) < d.n
     assert res.satisfiable and res.witness is None
     (report,) = res.reports
     assert (report.outcome, report.reason) == ("guaranteed",

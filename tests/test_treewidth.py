@@ -13,11 +13,12 @@ from outbranching.treewidth import (
     decomposition_from_ordering,
     exact_treewidth_small,
     greedy_decomposition,
+    greedy_decomposition_within,
     make_nice,
     treewidth_upper_bound,
     validate_decomposition,
 )
-from helpers import brute_min_fill_order, grid_graph, random_corpus
+from helpers import brute_min_fill_order, component_width_bound, grid_graph, random_corpus
 
 
 def path_graph(n):
@@ -133,6 +134,28 @@ def test_min_fill_order_matches_full_rescan(g):
     assert _greedy_order(g)[0] == order
     assert (decomposition_record(greedy_decomposition(g))
             == decomposition_record(decomposition_from_ordering(g, order)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_graphs())
+@example(UndirectedGraph([], []))
+@example(UndirectedGraph([7, 3, 12], []))
+@example(path_graph(16))
+@example(UndirectedGraph(range(16), [(i, j) for i in range(16) for j in (i + 1, i + 5) if j < 16]))
+def test_a_limited_elimination_stops_exactly_past_the_width(g):
+    # every limit from -1 (no vertex fits) to n (every vertex fits)
+    width = greedy_decomposition(g).width
+    full = _greedy_order(g)
+    for limit in range(-1, len(g.vertices) + 1):
+        stopped = _greedy_order(g, limit)
+        assert (stopped is None) == (width > limit), limit
+        if stopped is not None:
+            assert stopped == full
+        td = greedy_decomposition_within(g, limit)
+        assert (td is None) == (width > limit)
+        if td is not None:
+            assert decomposition_record(td) == decomposition_record(greedy_decomposition(g))
+    assert treewidth_upper_bound(g) == component_width_bound(g)
 
 
 def contracted(g, rng, p):
