@@ -16,7 +16,6 @@ from .digraph import (
     contract_arc_directed,
     identify_arc_endpoints,
     bfs_layers,
-    parse_digraph,
     parse_instance,
     serialize_instance,
     validate_out_tree,

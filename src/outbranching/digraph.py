@@ -455,11 +455,6 @@ def parse_instance(text):
         {v: frozenset(s) for v, s in enumerate(pred)}), root
 
 
-def parse_digraph(text):
-    """Parse the instance format, dropping any root line."""
-    return parse_instance(text)[0]
-
-
 def serialize_instance(digraph, root=None):
     """Emit the instance format with sorted arcs.
 

@@ -62,17 +62,22 @@ can differ from an unbounded run's where a join ties: the join keeps the
 first best pair in the order its groups first occur, and dropped states
 can reorder the groups.
 
-Every run counts the states its steps keep, which the backpointers hold
-alive, and raises BudgetError past DP_STATE_BUDGET.  A broken invariant,
-including a witness that fails validation, raises DPInvariantError; none
-of these checks is an assert, so they also run under ``python -O``.
+A table maps each state to its best score and the arcs of the first
+partial solution that reached that score, one bit per arc of the digraph.
+Introduce passes the value on, forget adds to the score, an edge sets
+the bit of the arc it picks, and a join adds the two scores and unites
+the two arc sets.  So the witness is read off the final table alone,
+and each table is freed as soon as the op above it has consumed it.
+Every run counts the states its ops build and raises BudgetError past
+DP_STATE_BUDGET.  A broken invariant, including a witness that fails
+validation, raises DPInvariantError; none of these checks is an assert,
+so they also run under ``python -O``.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import namedtuple
 from functools import lru_cache
 
 from .digraph import underlying_graph, witness_tree
@@ -81,22 +86,17 @@ from .treewidth import FORGET, INTRODUCE, JOIN, LEAF, greedy_decomposition, make
 
 ABSENT = -1
 CLOSED = -2
-EDGE = "edge"
 
-# The most states one run may keep over all its steps.  About 255 bytes
-# were measured per kept state, so this is about 2.6 GB.
+# The most states one run may build over all its ops.  Only the tables
+# not yet consumed stay in memory, so this caps a run's work: max leaves
+# on the reduced 9x9 grid at width 9 builds 5.1 M states in about 140 MB.
 DP_STATE_BUDGET = 10_000_000
 
 
-# One executed table of the dynamic program, with backpointers.
-_Step = namedtuple("_Step", "kind prev table back")
-
-
-def _push(table, back, state, score, prov):
+def _push(table, state, value):
     old = table.get(state)
-    if old is None or score > old:
-        table[state] = score
-        back[state] = prov
+    if old is None or value[0] > old[0]:
+        table[state] = value
 
 
 def _dominated(group, fewer_children_win):
@@ -217,7 +217,7 @@ def _group_pairs(tl, tr, one_child):
     """Pairs of state groups that can be joined.
 
     A group holds the states that share (blocks, status, size) as
-    (exclusive, parent_bits, child_bits, score, state) items; exclusive
+    (exclusive, parent_bits, child_bits, score, arcs) items; exclusive
     holds the bits no two joined states may share: the parent bits and,
     with one_child, the child bits shifted past them.  Yields (n_in,
     lkey, litems, rkey, ritems, merged) for each pair of groups with one
@@ -227,10 +227,9 @@ def _group_pairs(tl, tr, one_child):
     sides = []
     for tin in (tl, tr):
         groups = {}
-        for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
+        for (blocks, pb, cb, rstat, size), (score, arcs) in tin.items():
             x = pb | cb << len(blocks) if one_child else pb
-            groups.setdefault((blocks, rstat, size), []).append((x, pb, cb, score, s))
+            groups.setdefault((blocks, rstat, size), []).append((x, pb, cb, score, arcs))
         by_mask = {}
         for key, items in groups.items():
             by_mask.setdefault(tuple(b >= 0 for b in key[0]), []).append((key, items))
@@ -250,6 +249,10 @@ def _group_pairs(tl, tr, one_child):
 
 class _TreeEngine:
     """Out-tree, spanning-branching and directed path tables.
+
+    A table maps each state to (score, arcs): the best score of a partial
+    solution with that state, and the arcs of the first partial solution
+    that reached it, as an int whose bit i is the i-th arc in sorted order.
 
     Bit i of parent_bits (child_bits) is set once the vertex at bag
     position i has its parent arc (a child arc).  The status is ABSENT
@@ -274,8 +277,8 @@ class _TreeEngine:
     _prune).  A _dominated that drops nothing turns the rule off.
 
     A target is the k of a decision run, for the non-spanning modes.
-    Every state whose bound is below it is dropped: by the join, which
-    _execute tells what a pair needs, and after each forget.  On a path
+    Every state whose bound is below it is dropped: by the join and the
+    forget, which _execute tells what a state needs.  On a path
     (root=None) it also stops the walk at the first edge or join state
     whose one fragment holds at least target arcs, and leaves that state
     in hit.  The fragment owns every arc of the state: the score counts
@@ -291,10 +294,11 @@ class _TreeEngine:
         self.size_cap = sys.maxsize if size_cap is None else size_cap
         self.target = target
         self.hit = None
+        self.arcs = sorted(digraph.arcs)
+        self.bit = {arc: 1 << i for i, arc in enumerate(self.arcs)}
 
     def leaf(self):
-        state = ((), 0, 0, ABSENT, 0)
-        return {state: 0}, {state: None}
+        return {((), 0, 0, ABSENT, 0): (0, 0)}
 
     def introduce(self, tin, bag, v):
         p = bag.index(v)
@@ -302,14 +306,13 @@ class _TreeEngine:
         is_root = v == self.root
         outside = not self.spanning and not is_root
         cap, grow = self.size_cap, self.grow
-        table, back = {}, {}
-        for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
+        table = {}
+        for (blocks, pb, cb, rstat, size), value in tin.items():
             pb = (pb & low) | (pb & ~low) << 1
             cb = (cb & low) | (cb & ~low) << 1
             ob, nb, mapping = _insert(blocks, p)
             if outside:
-                _push(table, back, (ob, pb, cb, rstat, size), score, s)
+                _push(table, (ob, pb, cb, rstat, size), value)
             if rstat == CLOSED or size >= cap:
                 continue
             if is_root:
@@ -318,10 +321,13 @@ class _TreeEngine:
                 rstat = nb[p]
             elif rstat >= 0:
                 rstat = mapping[rstat]
-            _push(table, back, (nb, pb, cb, rstat, size + grow), score, s)
-        return table, back
+            _push(table, (nb, pb, cb, rstat, size + grow), value)
+        return table
 
-    def forget(self, tin, bag, v):
+    def forget(self, tin, bag, v, need=0):
+        """Forget v, then drop the states whose score plus in-bag solution
+        vertices is below need."""
+
         p = bisect_left(bag, v)
         low = (1 << p) - 1
         rooted = self.root is not None
@@ -329,15 +335,15 @@ class _TreeEngine:
         # a forgotten solution vertex scores when it is a leaf (no child
         # arc) for max leaves, and when it is internal otherwise
         flip = 1 if self.spanning else 0
-        table, back = {}, {}
-        for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
+        table = {}
+        for (blocks, pb, cb, rstat, size), value in tin.items():
             b = blocks[p]
             rb, mapping, alone = _remove(blocks, p)
             if b >= 0:
                 if needs_parent and not pb >> p & 1:
                     continue
-                score += (cb >> p & 1) ^ flip
+                if (cb >> p & 1) ^ flip:
+                    value = value[0] + 1, value[1]
                 if mapping is not None:
                     if rstat >= 0:
                         rstat = mapping[rstat]
@@ -347,41 +353,45 @@ class _TreeEngine:
                 else:
                     continue
             st = (rb, (pb & low) | (pb >> 1 & ~low), (cb & low) | (cb >> 1 & ~low), rstat, size)
-            _push(table, back, st, score, s)
-        return self._prune(table, back) if rooted else (table, back)
+            _push(table, st, value)
+        if rooted:
+            self._prune(table)
+        if need > 0:
+            table = {s: value for s, value in table.items()
+                     if value[0] + len(s[0]) - s[0].count(-1) >= need}
+        return table
 
     def edge(self, tin, bag, e):
         u, w = e
         pu, pw = bag.index(u), bag.index(w)
         one_child = self.root is None
         target = self.target if one_child else None
-        # (arc, tail pos, head pos, head bit, tail bit, tail bit that blocks)
-        cands = [((x, y), px, py, 1 << py, 1 << px, one_child << px)
+        # (arc bit, tail pos, head pos, head bit, tail bit, tail bit that blocks)
+        cands = [(self.bit[x, y], px, py, 1 << py, 1 << px, one_child << px)
                  for x, y, px, py in ((u, w, pu, pw), (w, u, pw, pu))
                  if self.digraph.has_arc(x, y) and y != self.root]
-        # every state may leave the edge unused; back only records arcs
-        table, back = dict(tin), {}
-        for s, score in tin.items():
-            blocks, pb, cb, rstat, size = s
-            for arc, px, py, ybit, xbit, xblock in cands:
+        # every state may leave the edge unused
+        table = dict(tin)
+        for (blocks, pb, cb, rstat, size), (score, arcs) in tin.items():
+            for abit, px, py, ybit, xbit, xblock in cands:
                 bx, by = blocks[px], blocks[py]
                 if bx < 0 or by < 0 or bx == by or pb & ybit or cb & xblock:
                     continue
                 nb, mapping, one = _fuse(blocks, bx, by)
                 rs2 = mapping[bx if rstat == by else rstat] if rstat >= 0 else rstat
                 st = (nb, pb | ybit, cb | xbit, rs2, size)
-                _push(table, back, st, score, (s, arc))
+                _push(table, st, (score, arcs | abit))
                 if one and target is not None and score + st[2].bit_count() >= target:
                     self.hit = st
-                    return table, back
-        return table, back
+                    return table
+        return table
 
     def join(self, tl, tr, need=0, room=sys.maxsize):
         """Join two tables, crossing only the pairs whose scores plus their
         in-bag solution vertices reach need; past room states it raises
         BudgetError."""
 
-        table, back = {}, {}
+        table = {}
         cap, grow = self.size_cap, self.grow
         target = self.target if self.root is None else None
         for n_in, (_, lr, lsize), litems, (_, rr, rsize), ritems, (blocks, lmap, rmap) in (
@@ -410,85 +420,71 @@ class _TreeEngine:
             # a pair reaches need when its scores add up to floor
             floor = need - n_in
             rmin = min(item[3] for item in ritems) if floor > 0 else 0
-            for lx, lp, lc, lscore, ls in litems:
+            for lx, lp, lc, lscore, larcs in litems:
                 rfloor = floor - lscore
-                for rx, rp, rc, rscore, rs in (
+                for rx, rp, rc, rscore, rarcs in (
                         ritems if rfloor <= rmin else [r for r in ritems if r[3] >= rfloor]):
                     if lx & rx:
                         continue
                     st = (blocks, lp | rp, lc | rc, rstat, size)
                     score = lscore + rscore
                     old = table.get(st)
-                    if old is None or score > old:
-                        table[st] = score
-                        back[st] = (ls, rs)
+                    if old is None or score > old[0]:
+                        table[st] = score, larcs | rarcs
                         if one and score + (lc | rc).bit_count() >= target:
                             self.hit = st
-                            return table, back
-        return self._prune(table, back) if self.root is not None else (table, back)
+                            return table
+        return self._prune(table) if self.root is not None else table
 
-    def _prune(self, table, back):
-        """Drop from table and back, in place, each state that another
-        state of its (blocks, parent_bits, status, size) group dominates
-        (see _dominated), and return them.  Only a rooted run may."""
+    def _prune(self, table):
+        """Drop from table, in place, each state that another state of its
+        (blocks, parent_bits, status, size) group dominates (see
+        _dominated), and return it.  Only a rooted run may."""
 
         groups = {}
-        for (blocks, pb, cb, rstat, size), score in table.items():
+        for (blocks, pb, cb, rstat, size), (score, _) in table.items():
             groups.setdefault((blocks, pb, rstat, size), {})[cb] = score
         if len(groups) < len(table):
             for (blocks, pb, rstat, size), group in groups.items():
                 if len(group) > 1:
                     for cb in _dominated(group, self.spanning):
-                        st = (blocks, pb, cb, rstat, size)
-                        del table[st], back[st]
-        return table, back
-
-
-def _reaching(table, back, need):
-    """table and back without the states whose score plus in-bag solution
-    vertices is below need."""
-
-    if need <= 0:
-        return table, back
-    kept = {s: score for s, score in table.items()
-            if score + len(s[0]) - s[0].count(-1) >= need}
-    if len(kept) == len(table):
-        return table, back
-    return kept, {s: back[s] for s in kept}
+                        del table[blocks, pb, cb, rstat, size]
+        return table
 
 
 def _need(target, unseen):
     """What score plus in-bag solution vertices a state needs to keep a
     bound of target, where unseen counts the vertices neither forgotten
-    below the step nor in its bag: 0 (all pass) without a target or with
+    below the op nor in its bag: 0 (all pass) without a target or with
     unseen >= target."""
 
     return 0 if target is None else max(0, target - unseen)
 
 
-def _count(states, step):
-    """states plus the step's table size; past DP_STATE_BUDGET a
-    BudgetError is raised."""
+def _count(states, table):
+    """states plus the table's size; past DP_STATE_BUDGET a BudgetError
+    is raised."""
 
-    states += len(step.table)
+    states += len(table)
     if states > DP_STATE_BUDGET:
         raise BudgetError("dp states", states, DP_STATE_BUDGET)
     return states
 
 
 def _execute(digraph, nice, engine):
-    """Run an engine down the nice ops, splicing in an edge step for each
+    """Run an engine down the nice ops, splicing in an edge op for each
     underlying edge right before the forget of its first endpoint.
 
     ``nice`` defaults to the min-fill decomposition of the underlying
-    graph.  Finished steps wait on a stack: a join pops its left operand
-    and then its right one, introduce and forget pop one.  A forget's bag
-    lacks its vertex, which sat where it would sort into that bag.  A
-    second stack holds each finished step's forgotten-vertex count: 0 at
-    a leaf, one more at a forget, the sum of both sides at a join.  With
-    engine.target set, the states that cannot reach it are dropped at
-    every join and after every forget.  Returns the last step, or the
-    step that set engine.hit.
+    graph.  Finished tables wait on a stack, and each op pops the tables
+    it consumes, so a table lives only until its parent op is done: a
+    join pops its left operand and then its right one, introduce and
+    forget pop one.  A forget's bag lacks its vertex, which sat where it
+    would sort into that bag.  A second stack holds each finished table's
+    forgotten-vertex count: 0 at a leaf, one more at a forget, the sum of
+    both sides at a join.  With engine.target set, the states that cannot
+    reach it are dropped at every join and forget.  Returns the last
+    table, or the table that holds engine.hit.
     """
 
     ug = underlying_graph(digraph)
@@ -502,11 +498,10 @@ def _execute(digraph, nice, engine):
     states = 0
     for kind, v, bag in nice.ops:
         if kind == LEAF:
-            step = _Step(kind, (), *engine.leaf())
+            table = engine.leaf()
             forgotten.append(0)
         elif kind == INTRODUCE:
-            child = done.pop()
-            step = _Step(kind, (child,), *engine.introduce(child.table, bag, v))
+            table = engine.introduce(done.pop(), bag, v)
             covered.add(v)
         elif kind == FORGET:
             # Each edge runs on the child's bag just before its first
@@ -515,33 +510,30 @@ def _execute(digraph, nice, engine):
             # bags holding v form a subtree topped by this child, the bags
             # holding w one topped below w's later forget, and the two
             # meet, so the lower top, this child, holds w too.
-            step = done.pop()
+            table = done.pop()
             p = bisect_left(bag, v)
             child_bag = bag[:p] + (v,) + bag[p:]
             nb = ug.neighbors(v)
             for e in sorted((min(v, x), max(v, x)) for x in bag if x in nb):
                 if e not in assigned:
                     assigned.add(e)
-                    step = _Step(EDGE, (step,), *engine.edge(step.table, child_bag, e))
+                    table = engine.edge(table, child_bag, e)
                     if engine.hit is not None:
-                        return step
-                    states = _count(states, step)
+                        return table
+                    states = _count(states, table)
             forgotten[-1] += 1
-            step = _Step(kind, (step,), *_reaching(
-                *engine.forget(step.table, bag, v), _need(target, n - forgotten[-1] - len(bag))))
+            table = engine.forget(table, bag, v, _need(target, n - forgotten[-1] - len(bag)))
         elif kind == JOIN:
-            left = done.pop()
-            right = done.pop()
             forgotten.append(forgotten.pop() + forgotten.pop())
-            step = _Step(kind, (left, right), *engine.join(
-                left.table, right.table, _need(target, n - forgotten[-1] - len(bag)),
-                DP_STATE_BUDGET - states))
+            table = engine.join(done.pop(), done.pop(),
+                                _need(target, n - forgotten[-1] - len(bag)),
+                                DP_STATE_BUDGET - states)
             if engine.hit is not None:
-                return step
+                return table
         else:
             raise DPInvariantError(f"unknown nice op kind {kind!r}")
-        states = _count(states, step)
-        done.append(step)
+        states = _count(states, table)
+        done.append(table)
     if not covered >= digraph.vertices:
         raise DPInvariantError("decomposition does not cover the digraph")
     if len(assigned) != ug.m:
@@ -549,39 +541,29 @@ def _execute(digraph, nice, engine):
     return done.pop()
 
 
-def _collect_arcs(final_step, final_state):
-    arcs = []
-    stack = [(final_step, final_state)]
-    while stack:
-        step, state = stack.pop()
-        if step.kind == JOIN:
-            stack += zip(step.prev, step.back[state])
-        elif step.kind == EDGE:
-            # a state that left the edge unused has no backpointer
-            prev_state, arc = step.back.get(state, (state, None))
-            if arc is not None:
-                arcs.append(arc)
-            stack.append((step.prev[0], prev_state))
-        elif step.kind != LEAF:
-            stack.append((step.prev[0], step.back[state]))
-    return arcs
+def _collect_arcs(arcs, mask):
+    """The arcs whose bits are set in mask, where bit i stands for arcs[i]."""
+
+    return [arc for i, arc in enumerate(arcs) if mask >> i & 1]
 
 
 def _best_closed(digraph, nice, engine):
     """Run the engine; (score, state, arcs) for its best finished state,
-    with the arcs its backpointers spell out, or None if no state closed
+    with the arcs its table value holds, or None if no state closed
     (with a target: none reached it).  A hit state stands in for the
     best finished one, scored by its arcs."""
 
-    top = _execute(digraph, nice, engine)
+    table = _execute(digraph, nice, engine)
     hit = engine.hit
     if hit is not None:
-        return top.table[hit] + hit[2].bit_count(), hit, _collect_arcs(top, hit)
-    closed = [state for state in top.table if state[3] == CLOSED]
+        score, arcs = table[hit]
+        return score + hit[2].bit_count(), hit, _collect_arcs(engine.arcs, arcs)
+    closed = [state for state in table if state[3] == CLOSED]
     if not closed:
         return None
-    best = max(closed, key=top.table.__getitem__)
-    return top.table[best], best, _collect_arcs(top, best)
+    best = max(closed, key=lambda state: table[state][0])
+    score, arcs = table[best]
+    return score, best, _collect_arcs(engine.arcs, arcs)
 
 
 def _best_tree(digraph, root, nice, spanning, size_cap=None, target=None):

@@ -136,7 +136,7 @@ def test_dp_invariant_exit_five(capsys, tmp_path, monkeypatch, argv, text):
     # a witness that lost an arc must stop the run, not come out as an answer
     collect = treedp._collect_arcs
     monkeypatch.setattr(treedp, "_collect_arcs",
-                        lambda step, state: collect(step, state)[1:])
+                        lambda arcs, mask: collect(arcs, mask)[1:])
     path = write_instance(tmp_path, text)
     code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
     assert code == 5

@@ -11,7 +11,6 @@ from outbranching import (
     bfs_layers,
     contract_arc_directed,
     identify_arc_endpoints,
-    parse_digraph,
     parse_instance,
     serialize_instance,
     underlying_graph,
@@ -165,13 +164,13 @@ def test_parse_basic_instance_with_root_and_comments():
 
 def test_parse_reports_line_numbers():
     with pytest.raises(ParseError, match="self-loop at line 2"):
-        parse_digraph("2 1\n1 1\n")
+        parse_instance("2 1\n1 1\n")[0]
     with pytest.raises(ParseError, match="vertex out of range at line 3"):
-        parse_digraph("2 2\n0 1\n1 5\n")
+        parse_instance("2 2\n0 1\n1 5\n")[0]
     with pytest.raises(ParseError, match="malformed header at line 1"):
-        parse_digraph("two one\n")
+        parse_instance("two one\n")[0]
     with pytest.raises(ParseError, match="expected 2 arcs"):
-        parse_digraph("3 2\n0 1\n")
+        parse_instance("3 2\n0 1\n")[0]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -197,9 +196,9 @@ def test_parse_rejects_bad_lines_with_their_line_number(text, message):
 
 def test_parse_rejects_repeated_arc():
     with pytest.raises(ParseError, match="duplicate arc at line 4"):
-        parse_digraph("3 3\n0 1\n1 2\n0 1\n")
+        parse_instance("3 3\n0 1\n1 2\n0 1\n")[0]
     # the reverse arc is a different arc
-    assert parse_digraph("2 2\n0 1\n1 0\n").arcs == {(0, 1), (1, 0)}
+    assert parse_instance("2 2\n0 1\n1 0\n")[0].arcs == {(0, 1), (1, 0)}
 
 
 def test_serialize_sorts_arcs_and_round_trips():
@@ -221,8 +220,8 @@ def test_serialize_renumbers_contracted_ids():
 def test_round_trip_on_random_corpus():
     for d in random_corpus(25, seed=5):
         text = serialize_instance(d)
-        assert parse_digraph(text) == d
-        assert serialize_instance(parse_digraph(text)) == text
+        assert parse_instance(text)[0] == d
+        assert serialize_instance(parse_instance(text)[0]) == text
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from collections import namedtuple
 from unittest import mock
 
 import pytest
@@ -21,9 +23,8 @@ from outbranching import (
 )
 from outbranching import treedp
 from outbranching.generators import generate, grid_spec
+from outbranching.leaf_pipeline import reduce_lob
 from outbranching.treedp import (
-    EDGE,
-    _collect_arcs,
     _execute,
     _TreeEngine,
     dp_longest_path,
@@ -32,12 +33,65 @@ from outbranching.treedp import (
 )
 from outbranching.treewidth import (
     FORGET,
+    INTRODUCE,
     JOIN,
+    LEAF,
     decomposition_from_ordering,
     exact_treewidth_small,
     make_nice,
 )
 from helpers import grid_digraph, random_corpus
+
+EDGE = "edge"
+
+# One op of a _LoggingEngine run: its kind, its vertex or edge (None for
+# a leaf or join), the ids of the tables it consumed and the table it built.
+Op = namedtuple("Op", "kind arg inputs table")
+
+
+class _LoggingEngine(_TreeEngine):
+    """A _TreeEngine that logs every op it runs, in run order.  The log
+    holds every table, so no table id is reused during the run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def _logged(self, kind, arg, inputs, table):
+        self.log.append(Op(kind, arg, tuple(map(id, inputs)), table))
+        return table
+
+    def leaf(self):
+        return self._logged(LEAF, None, (), super().leaf())
+
+    def introduce(self, tin, bag, v):
+        return self._logged(INTRODUCE, v, (tin,), super().introduce(tin, bag, v))
+
+    def forget(self, tin, bag, v, need=0):
+        return self._logged(FORGET, v, (tin,), super().forget(tin, bag, v, need))
+
+    def edge(self, tin, bag, e):
+        return self._logged(EDGE, e, (tin,), super().edge(tin, bag, e))
+
+    def join(self, tl, tr, *args):
+        return self._logged(JOIN, None, (tl, tr), super().join(tl, tr, *args))
+
+
+def _op_log(d, nice, *args):
+    """The engine and the op log of one _execute run of _TreeEngine(d, *args)."""
+    engine = _LoggingEngine(d, *args)
+    _execute(d, nice, engine)
+    return engine, engine.log
+
+
+def _kept_ops(d, nice, *args):
+    """Every op whose table _execute keeps (all but a hit op), in run order."""
+    engine, log = _op_log(d, nice, *args)
+    return log[:-1] if engine.hit is not None else log
+
+
+def _scores(table):
+    return {s: score for s, (score, _) in table.items()}
 
 
 def test_max_leaves_star_path_cycle():
@@ -141,13 +195,8 @@ def test_size_cap_keeps_tables_polynomial_in_the_bag_width():
     n = 8
     d = Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v])
     with mock.patch.object(treedp, "_dominated", _drop_none):
-        top = _execute(d, None, _TreeEngine(d, 0, spanning=False, size_cap=3))
-    most, stack = 0, [top]
-    while stack:
-        step = stack.pop()
-        most = max(most, len(step.table))
-        stack += step.prev
-    assert most <= 2 * n ** 3
+        _, log = _op_log(d, None, 0, False, 3)
+    assert max(len(op.table) for op in log) <= 2 * n ** 3
     internal, tree = dp_max_internal_outtree(d, 0, size_cap=3)
     assert internal == 2 and tree.size == 3
 
@@ -194,84 +243,25 @@ def test_longest_path_matches_oracle():
             assert d.has_arc(a, b)
 
 
-class _CountingEngine(_TreeEngine):
-    """A _TreeEngine that counts its edge and join steps."""
-
-    calls = 0
-
-    def edge(self, *args):
-        self.calls += 1
-        return super().edge(*args)
-
-    def join(self, *args):
-        self.calls += 1
-        return super().join(*args)
-
-
-def _steps_in_run_order(top):
-    """Every step below top, in the order _execute ran them: a join pops
-    its left operand last, so its right operand's steps ran first."""
-    order, stack = [], [(top, False)]
-    while stack:
-        step, expanded = stack.pop()
-        if expanded:
-            order.append(step)
-        else:
-            stack.append((step, True))
-            stack += [(prev, False) for prev in step.prev]
-    return order
-
-
 def test_target_stops_at_the_first_step_with_a_long_fragment():
     # the reference runs without a target and counts each one-fragment
-    # state's arcs from its backpointers
+    # state's arcs in its table value
     stops = 0
     for d in random_corpus(30, seed=139, n_lo=3, n_hi=7, density=2.0):
-        full = _execute(d, None, _TreeEngine(d, None, spanning=False))
-        steps = [s for s in _steps_in_run_order(full) if s.kind in (EDGE, JOIN)]
+        _, full = _op_log(d, None, None, False)
+        ops = [op for op in full if op.kind in (EDGE, JOIN)]
         for target in (1, 2, 3, 4, 5):
-            first = next((i for i, step in enumerate(steps) if any(
-                len({b for b in state[0] if b >= 0}) == 1
-                and len(_collect_arcs(step, state)) >= target
-                for state in step.table)), None)
-            engine = _CountingEngine(d, None, spanning=False, target=target)
-            _execute(d, None, engine)
+            first = next((i for i, op in enumerate(ops) if any(
+                len({b for b in state[0] if b >= 0}) == 1 and arcs.bit_count() >= target
+                for state, (_, arcs) in op.table.items())), None)
+            engine, log = _op_log(d, None, None, False, None, target)
+            calls = sum(op.kind in (EDGE, JOIN) for op in log)
             if first is None:
-                assert engine.hit is None and engine.calls == len(steps), (d.arcs, target)
+                assert engine.hit is None and calls == len(ops), (d.arcs, target)
             else:
-                assert engine.calls == first + 1, (d.arcs, target)
+                assert calls == first + 1, (d.arcs, target)
                 stops += 1
     assert stops >= 60
-
-
-class _RecordingEngine(_TreeEngine):
-    """A _TreeEngine that records, per output table, the edge or the
-    forgotten vertex of the op that built it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.made_by = {}
-
-    def edge(self, tin, bag, e):
-        table, back = super().edge(tin, bag, e)
-        self.made_by[id(table)] = e
-        return table, back
-
-    def forget(self, tin, bag, v):
-        table, back = super().forget(tin, bag, v)
-        self.made_by[id(table)] = v
-        return table, back
-
-
-def _parents(top):
-    """{id(step): the step that consumed it} below top."""
-    parent, stack = {}, [top]
-    while stack:
-        step = stack.pop()
-        for prev in step.prev:
-            parent[id(prev)] = step
-            stack.append(prev)
-    return parent
 
 
 def test_each_edge_runs_right_before_its_first_endpoint_is_forgotten():
@@ -283,20 +273,19 @@ def test_each_edge_runs_right_before_its_first_endpoint_is_forgotten():
         rng.shuffle(order)
         for nice in (None, make_nice(decomposition_from_ordering(ug, order))):
             for root in (min(d.vertices), None):
-                engine = _RecordingEngine(d, root, spanning=root is not None)
-                top = _execute(d, nice, engine)
-                parent = _parents(top)
+                _, log = _op_log(d, nice, root, root is not None)
+                # the op that consumed each table
+                consumer = {t: op for op in log for t in op.inputs}
                 edges = []
-                for step in _steps_in_run_order(top):
-                    if step.kind != EDGE:
+                for op in log:
+                    if op.kind != EDGE:
                         continue
-                    e = engine.made_by[id(step.table)]
-                    edges.append(e)
-                    above = parent[id(step)]
+                    edges.append(op.arg)
+                    above = consumer[id(op.table)]
                     while above.kind == EDGE:
-                        above = parent[id(above)]
-                    assert above.kind == FORGET, (d.arcs, e, above.kind)
-                    assert engine.made_by[id(above.table)] in e, (d.arcs, e)
+                        above = consumer[id(above.table)]
+                    assert above.kind == FORGET, (d.arcs, op.arg, above.kind)
+                    assert above.arg in op.arg, (d.arcs, op.arg)
                     checked += 1
                 assert sorted(edges) == sorted(ug.edges), d.arcs
     assert checked >= 500
@@ -309,13 +298,29 @@ def test_late_edges_shrink_the_max_leaves_tables():
     # bag, 73 664 with each edge right before its first endpoint's forget
     d = generate(grid_spec(6, p2=0.7))
     with mock.patch.object(treedp, "_dominated", _drop_none):
-        top = _execute(d, None, _TreeEngine(d, 0, spanning=True))
-    assert sum(len(step.table) for step in _steps_in_run_order(top)) < 90_000
+        _, log = _op_log(d, None, 0, True)
+    assert sum(len(op.table) for op in log) < 90_000
     # with pruning on, every forget and join drops the states another
     # state of its table dominates, and the run keeps 16 355
-    top = _execute(d, None, _TreeEngine(d, 0, spanning=True))
-    assert sum(len(step.table) for step in _steps_in_run_order(top)) < 20_000
+    _, log = _op_log(d, None, 0, True)
+    assert sum(len(op.table) for op in log) < 20_000
     assert dp_max_leaves(d, 0)[0] == 18
+
+
+def test_consumed_tables_are_freed():
+    # each table is dropped once the op above it has consumed it, so a run
+    # holds only the tables waiting on the stack: on the reduced 8x8
+    # ladder grid (56 vertices) the peak is 5.2 MB, against 11.9 MB when
+    # every introduce, forget and join table stays alive to the end
+    reduced = reduce_lob(generate(grid_spec(8, p2=0.7)), 0, 8).digraph
+    assert dp_max_leaves(reduced, 0)[0] == 31  # fills the partition memo
+    tracemalloc.start()
+    try:
+        assert dp_max_leaves(reduced, 0)[0] == 31
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
 def test_longest_path_on_grid():
@@ -417,19 +422,6 @@ def test_dps_match_oracles_on_random_decompositions(case):
     assert all(d.has_arc(a, b) for a, b in zip(path, path[1:]))
 
 
-def _kept_steps(d, nice, engine):
-    """Every step _execute keeps (all but a hit step), in run order."""
-    steps, count = [], treedp._count
-
-    def record(states, step):
-        steps.append(step)
-        return count(states, step)
-
-    with mock.patch.object(treedp, "_count", record):
-        _execute(d, nice, engine)
-    return steps
-
-
 @st.composite
 def bound_cases(draw):
     """A digraph on at most 7 vertices, a mode (internal, capped internal
@@ -453,22 +445,22 @@ def test_bounded_tables_are_the_unbounded_ones_restricted(case):
         cap = cap if mode == "capped" else None
         opt = brute_max_internal_tree(d, root, max_size=cap or d.n)
     target = max(1, opt + offset)
-    full = _kept_steps(d, nice, _TreeEngine(d, root, False, cap))
-    bounded = _kept_steps(d, nice, _TreeEngine(d, root, False, cap, target))
-    # the forgotten vertices below each step, counted on the full run
+    full = _kept_ops(d, nice, root, False, cap)
+    bounded = _kept_ops(d, nice, root, False, cap, target)
+    # the forgotten vertices below each op, counted on the full run
     forgotten = {}
-    for step in full:
-        forgotten[id(step)] = (step.kind == FORGET) + sum(forgotten[id(p)] for p in step.prev)
+    for op in full:
+        forgotten[id(op.table)] = (op.kind == FORGET) + sum(forgotten[t] for t in op.inputs)
     assert len(bounded) <= len(full)
     for b, u in zip(bounded, full):
         assert b.kind == u.kind
-        assert b.table.items() <= u.table.items(), (d.arcs, mode, target)
+        full_scores = _scores(u.table)
+        assert _scores(b.table).items() <= full_scores.items(), (d.arcs, mode, target)
         if b.kind in (FORGET, JOIN):
             # score + vertices not forgotten - in-bag vertices outside
-            left = d.n - forgotten[id(u)]
-            want = {s: v for s, v in u.table.items() if v + left - s[0].count(-1) >= target}
-            assert b.table == want, (d.arcs, mode, target, b.kind)
-            assert b.back.keys() == want.keys()
+            left = d.n - forgotten[id(u.table)]
+            want = {s: v for s, v in full_scores.items() if v + left - s[0].count(-1) >= target}
+            assert _scores(b.table) == want, (d.arcs, mode, target, b.kind)
 
     if mode == "path":
         best = dp_longest_path(d, nice, target=target)
@@ -497,7 +489,7 @@ def _covers(t, tscore, s, score, fewer_children_win):
 
 def _undominated_part(table, fewer_children_win):
     groups = {}
-    for s, score in table.items():
+    for s, score in _scores(table).items():
         groups.setdefault((s[0], s[1], s[3], s[4]), []).append((s, score))
     return {s: score for items in groups.values() for s, score in items
             if not any(t != s and _covers(t, v, s, score, fewer_children_win)
@@ -526,9 +518,9 @@ def test_pruned_tables_are_the_undominated_part_of_the_full_ones(case):
         root = None
     elif mode == "target":
         target = max(1, brute_max_internal_tree(d, root, max_size=d.n) + offset)
-    pruned = _kept_steps(d, nice, _TreeEngine(d, root, spanning, cap, target))
+    pruned = _kept_ops(d, nice, root, spanning, cap, target)
     with mock.patch.object(treedp, "_dominated", _drop_none):
-        full = _kept_steps(d, nice, _TreeEngine(d, root, spanning, cap, target))
+        full = _kept_ops(d, nice, root, spanning, cap, target)
     assert len(pruned) == len(full)
     for p, u in zip(pruned, full):
         assert p.kind == u.kind
@@ -536,12 +528,12 @@ def test_pruned_tables_are_the_undominated_part_of_the_full_ones(case):
             # a child bit blocks a second child on a path: nothing is pruned
             assert p.table == u.table, (d.arcs, p.kind)
             continue
-        for s, score in u.table.items():
-            assert any(_covers(t, v, s, score, spanning) for t, v in p.table.items()), (
+        kept = _scores(p.table)
+        for s, score in _scores(u.table).items():
+            assert any(_covers(t, v, s, score, spanning) for t, v in kept.items()), (
                 d.arcs, mode, p.kind, s)
         if p.kind in (FORGET, JOIN):
-            assert p.table == _undominated_part(u.table, spanning), (d.arcs, mode, p.kind)
-            assert p.back.keys() == p.table.keys()
+            assert kept == _undominated_part(u.table, spanning), (d.arcs, mode, p.kind)
 
     if mode == "path":
         assert dp_longest_path(d, nice)[0] == brute_longest_path(d)[0]
@@ -572,7 +564,7 @@ def test_corrupt_witness_raises_under_optimize():
 
         assert False, "asserts are live"
         collect = treedp._collect_arcs
-        treedp._collect_arcs = lambda step, state: collect(step, state)[1:]
+        treedp._collect_arcs = lambda arcs, mask: collect(arcs, mask)[1:]
         arcs = []
         for r in range(3):
             for c in range(3):
