@@ -32,12 +32,9 @@ from .connectivity import (
 from .errors import BudgetError, DPInvariantError
 from .oracle import (
     enum_arborescences,
-    count_arborescences,
     brute_max_leaves,
     brute_max_internal,
-    brute_max_internal_tree,
     brute_longest_path,
-    enum_out_trees,
 )
 from .treewidth import (
     TreeDecomposition,

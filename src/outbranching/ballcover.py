@@ -5,8 +5,15 @@ vertices are adjacent in the underlying undirected graph.  Walking the
 path and dropping a center every ceil(k/b) steps covers its whole vertex
 set with at most b balls of radius ceil(k/b).  So the digraph has a
 k-arc path exactly when, for some b-subset of vertices, the subdigraph
-induced by the union of their balls has one; the solver enumerates every
-b-subset and runs the path DP on each induced piece.
+induced by the union of their balls has one; the solver walks the
+b-subsets in ascending order and runs the path DP on the induced pieces.
+
+Every piece is an induced subdigraph of the input, so one DP on the
+whole digraph decides the same question.  The cover pays off only when
+its pieces are much smaller than the input; when k is near n, the first
+piece that runs already misses at most b vertices, and the pieces after
+it rerun almost the whole digraph.  In that case the solver runs the
+path DP once on the whole digraph instead and answers from it.
 
 The pieces nest: when region R lies inside region F, the subdigraph
 induced by R is an induced subdigraph of the one induced by F, so every
@@ -60,11 +67,17 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     union of their radius-ceil(k/b) balls, and runs the treewidth path
     DP there, unless the region is too small for k arcs or lies inside
     a region whose DP fell short of k.  Each ball is built the first
-    time a subset needs it.  Exact for every b between 1 and n; the
-    subset count is checked against the budget up front.
+    time a subset needs it.  When the first region large enough for k
+    arcs is not the whole vertex set but misses at most b vertices, one
+    DP on the whole digraph answers instead and the walk stops there.
+    Exact for every b between 1 and n; the subset count is checked
+    against the budget up front, whichever way the call goes.
 
-    stats counts the subsets, the DP runs, the regions skipped inside a
-    failed region (cache_hits) and those skipped as too small.
+    stats counts the subsets walked, the DP runs, the regions skipped
+    inside a failed region (cache_hits) and those skipped as too small;
+    the last three add up to the first.  whole_graph tells whether the
+    whole digraph answered, and hit_subset names the centers whose
+    region held the path (None on a "no" and when whole_graph is set).
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -78,6 +91,7 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
         "dp_runs": 0,
         "cache_hits": 0,
         "skipped_small": 0,
+        "whole_graph": False,
         "hit_subset": None,
     }
     total = math.comb(n, b)
@@ -100,12 +114,18 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
             stats["cache_hits"] += 1
             continue
         stats["dp_runs"] += 1
-        best = dp_longest_path(digraph.induced(region), target=k)
-        if best is None:
-            failed = [f for f in failed if not f <= region]
-            failed.append(region)
-            continue
-        stats["hit_subset"] = centers
+        if stats["dp_runs"] == 1 and n - b <= len(region) < n:
+            stats["whole_graph"] = True
+            best = dp_longest_path(digraph, target=k)
+            if best is None:
+                break
+        else:
+            best = dp_longest_path(digraph.induced(region), target=k)
+            if best is None:
+                failed = [f for f in failed if not f <= region]
+                failed.append(region)
+                continue
+            stats["hit_subset"] = centers
         path = best[1]
         for u, v in zip(path, path[1:]):
             if not digraph.has_arc(u, v):

@@ -2,9 +2,8 @@
 
 These are the ground truth the solvers are audited against, so they favor
 obviousness over speed and are written independently of the solver code
-paths: enumeration by exhaustive parent choice, plus a second, fully
-independent arborescence count through the directed matrix-tree
-determinant. They live in the library, not the test tree, because the
+paths: enumeration by exhaustive parent choice, and exhaustive search over
+simple paths. They live in the library, not the test tree, because the
 `verify` command replays them on demand.
 
 Intended scale is tiny (n up to about 12); everything takes an explicit
@@ -73,48 +72,6 @@ def enum_arborescences(digraph, root, limit=DEFAULT_ENUM_LIMIT):
             return
 
 
-def count_arborescences(digraph, root):
-    """Number of spanning out-trees rooted at ``root``, by the directed
-    matrix-tree theorem: determinant of the in-degree Laplacian with the
-    root's row and column struck out. Independent of the enumeration above
-    on purpose; the two must agree.
-
-    Fraction-free Bareiss elimination (Math. Comp. 22, 1968) keeps the
-    count exact past 2**53, where a float determinant rounds. Pivot i is
-    the leading principal minor of order i+1: the number of cycle-free
-    in-neighbour choices for the first i+1 vertices. A zero pivot thus
-    means no arborescence, and rows never need swapping."""
-    if root not in digraph.vertices:
-        raise ValueError(f"root {root} not in digraph")
-    order = [v for v in sorted(digraph.vertices) if v != root]
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    lap = [[0] * n for _ in range(n)]
-    for v in order:
-        lap[idx[v]][idx[v]] = digraph.in_degree(v)
-    for u, v in digraph.arcs:
-        if v == root:
-            continue
-        if u == root:
-            continue
-        lap[idx[u]][idx[v]] -= 1
-    prev = 1
-    for i in range(n):
-        if lap[i][i] == 0:
-            return 0
-        for r in range(i + 1, n):
-            # a row with a zero in column i is only scaled by pivot/prev,
-            # so it stays as it is when the two are equal; on a directed
-            # path every row does, and the count takes quadratic time
-            if lap[r][i] == 0 and lap[i][i] == prev:
-                continue
-            for c in range(i + 1, n):
-                lap[r][c] = (lap[r][c] * lap[i][i]
-                             - lap[r][i] * lap[i][c]) // prev
-        prev = lap[i][i]
-    return prev
-
-
 def brute_max_leaves(digraph, root, limit=DEFAULT_ENUM_LIMIT):
     """Maximum leaf count over spanning out-trees rooted at ``root``;
     None when no such tree exists."""
@@ -133,58 +90,6 @@ def brute_max_internal(digraph, root, limit=DEFAULT_ENUM_LIMIT):
     for t in enum_arborescences(digraph, root, limit=limit):
         ni = len(t.internal_vertices())
         if best is None or ni > best:
-            best = ni
-    return best
-
-
-def enum_out_trees(digraph, root, max_size, limit=DEFAULT_ENUM_LIMIT):
-    """Yield every out-tree rooted at ``root`` with at most ``max_size``
-    vertices (spanning not required), each exactly once.
-
-    Grows trees by attaching one new vertex at a time and deduplicates
-    the different growth orders with a seen set, which is fine at oracle
-    scale.
-    """
-    if root not in digraph.vertices:
-        raise ValueError(f"root {root} not in digraph")
-    if max_size < 1:
-        return
-    seen = set()
-    produced = 0
-
-    def rec(parent):
-        nonlocal produced
-        key = frozenset(parent.items())
-        if key in seen:
-            return
-        seen.add(key)
-        produced += 1
-        if produced > limit:
-            raise BudgetError("out-tree enumeration", produced, limit)
-        yield OutTree(root, dict(parent))
-        if len(parent) + 1 >= max_size:
-            return
-        inside = set(parent)
-        inside.add(root)
-        for u in sorted(inside):
-            for v in sorted(digraph.out_neighbors(u)):
-                if v in inside or v == root:
-                    continue
-                parent[v] = u
-                yield from rec(parent)
-                del parent[v]
-
-    yield from rec({})
-
-
-def brute_max_internal_tree(digraph, root, max_size, limit=DEFAULT_ENUM_LIMIT):
-    """Maximum internal-vertex count over out-trees rooted at ``root``
-    with at most ``max_size`` vertices. At least the one-vertex tree
-    always exists, so this returns an int >= 0."""
-    best = 0
-    for t in enum_out_trees(digraph, root, max_size, limit=limit):
-        ni = len(t.internal_vertices())
-        if ni > best:
             best = ni
     return best
 

@@ -12,7 +12,6 @@ from outbranching import (
     brute_max_internal,
     brute_max_leaves,
     brute_longest_path,
-    enum_out_trees,
     is_rooted_2connected,
     reachable,
     underlying_graph,
@@ -43,7 +42,7 @@ from outbranching.treewidth import (
     make_nice,
     treewidth_upper_bound,
 )
-from helpers import four_vertex_orientations, random_corpus
+from helpers import enum_out_trees, four_vertex_orientations, random_corpus
 
 
 def _verdict(num, ok, elapsed, budget, detail):

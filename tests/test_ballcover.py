@@ -4,6 +4,7 @@ from outbranching import (Digraph, BudgetError, bfs_layers, brute_longest_path,
                           underlying_graph)
 from outbranching import ballcover
 from outbranching.ballcover import ball, solve_kpath_ballcover
+from outbranching.generators import generate, grid_spec
 from outbranching.treedp import dp_longest_path
 from helpers import grid_digraph, random_corpus
 
@@ -211,3 +212,36 @@ def test_no_call_accounts_for_every_subset():
     s = res.stats
     assert s["skipped_small"] > 0 and s["cache_hits"] > 0 and s["dp_runs"] > 0
     assert s["dp_runs"] + s["cache_hits"] + s["skipped_small"] == s["subsets"] == 28
+
+
+def test_whole_graph_answers_when_the_first_region_misses_at_most_b():
+    # on an undirected 8-path, k=6 and b=2 give radius 3: (0, 1) and
+    # (0, 2) are too small, and (0, 3) covers 0..6, one vertex short
+    path = Digraph.of(8, [(i, i + 1) for i in range(7)])
+    res = solve_kpath_ballcover(path, 6, 2)
+    assert res.satisfiable and res.witness in ([0, 1, 2, 3, 4, 5, 6, 7],
+                                               [0, 1, 2, 3, 4, 5, 6],
+                                               [1, 2, 3, 4, 5, 6, 7])
+    assert res.stats == {"radius": 3, "subsets": 3, "dp_runs": 1,
+                         "cache_hits": 0, "skipped_small": 2,
+                         "whole_graph": True, "hit_subset": None}
+    # reversing (3, 4) leaves no path longer than 3 arcs
+    broken = Digraph.of(8, [(i, i + 1) if i != 3 else (4, 3) for i in range(7)])
+    no = solve_kpath_ballcover(broken, 6, 2)
+    assert not no.satisfiable and no.witness is None
+    assert no.stats == res.stats
+
+
+@pytest.mark.parametrize("side, k", [(5, 8), (6, 10)])
+def test_grid_regions_that_miss_more_than_b_keep_the_cover(side, k):
+    # the dp-grid benchmark shape (5x5, k=8) and the ladder's 6x6 k=10
+    # row: the first region misses more than b=2 vertices, so the cover
+    # runs and its first DP finds the path
+    d = generate(grid_spec(side, p2=0.7))
+    first = frozenset().union(*(ball(underlying_graph(d), c, -(-k // 2))
+                                for c in (0, 1)))
+    assert d.n - len(first) > 2
+    res = solve_kpath_ballcover(d, k, 2)
+    assert res.satisfiable and len(res.witness) >= k + 1
+    s = res.stats
+    assert (s["whole_graph"], s["dp_runs"], s["hit_subset"]) == (False, 1, (0, 1))

@@ -77,6 +77,14 @@ def test_solve_iob_and_kpath(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0 and payload["answer"] is True
     assert payload["path"] == [0, 1, 2, 3]
+    assert payload["stats"]["whole_graph"] is False
+    # at k=2, b=1 the first ball, around 0, misses only vertex 3
+    code, out, _ = run(capsys, "solve-kpath", "--input", path, "--k", "2",
+                       "--b", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["answer"] is True
+    assert payload["stats"]["whole_graph"] is True
+    assert "hit_subset" not in payload["stats"]
     code, out, _ = run(capsys, "solve-kpath", "--input", path, "--k", "4",
                        "--b", "1")
     assert json.loads(out)["answer"] is False

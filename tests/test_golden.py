@@ -5,8 +5,8 @@ Every call below goes through `analysis.solve`, and its answer, root,
 witness and reports are compared with `golden_outputs.json`. A change
 that alters any of them fails here, whether or not the new output is
 still correct. The corpus reaches every lob outcome and counting reason,
-every iob report outcome, and kpath hits and misses that skip regions,
-with witnesses on and off.
+every iob report outcome, kpath hits and misses that skip regions, and
+both answers of kpath's whole-digraph route, with witnesses on and off.
 
 A change that alters outputs on purpose re-records the file with
 
@@ -110,7 +110,7 @@ def test_outputs_match_the_snapshot():
 
 def test_snapshot_reaches_every_outcome():
     recorded = json.loads(GOLDEN.read_text())
-    lob, iob, kpath = set(), set(), set()
+    lob, iob, kpath, whole = set(), set(), set(), set()
     for out in recorded:
         if out["problem"] == "lob":
             lob.update((r["outcome"], r["reason"]) for r in out["reports"])
@@ -122,6 +122,8 @@ def test_snapshot_reaches_every_outcome():
             stats = out["reports"]
             kpath.add((out["answer"], stats["cache_hits"] > 0,
                        stats["skipped_small"] > 0))
+            if stats["whole_graph"]:
+                whole.add(out["answer"])
     assert lob >= {("disconnected", None), ("reduced", None),
                    ("guaranteed", "multi_cut_count"),
                    ("guaranteed", "high_indegree_count"),
@@ -131,6 +133,7 @@ def test_snapshot_reaches_every_outcome():
     assert iob >= {"witness_tree", "exhausted", "disconnected", "infeasible_k"}
     assert {(True, True), (False, True)} <= {h[:2] for h in kpath}
     assert any(h[2] for h in kpath)
+    assert whole == {True, False}
 
 
 def bidirected_cycle(n):

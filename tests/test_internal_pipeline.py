@@ -8,8 +8,6 @@ from outbranching import (
     DPInvariantError,
     OutTree,
     brute_max_internal,
-    brute_max_internal_tree,
-    enum_out_trees,
     reachable,
     underlying_graph,
     validate_out_tree,
@@ -25,7 +23,7 @@ from outbranching.internal_pipeline import (
     witness_size_cap,
 )
 from outbranching.treedp import dp_max_internal_outtree
-from helpers import random_corpus
+from helpers import brute_max_internal_tree, enum_out_trees, random_corpus
 
 
 def bidirected_chain(n):

@@ -10,15 +10,18 @@ from outbranching import (
     Digraph,
     brute_longest_path,
     brute_max_internal,
-    brute_max_internal_tree,
     brute_max_leaves,
-    count_arborescences,
     enum_arborescences,
-    enum_out_trees,
     validate_out_tree,
 )
 from outbranching.generators import generate, grid_spec
-from helpers import grid_digraph, random_corpus
+from helpers import (
+    brute_max_internal_tree,
+    count_arborescences,
+    enum_out_trees,
+    grid_digraph,
+    random_corpus,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -136,17 +136,69 @@ def test_dp_longest_path_stops_at_target(case):
 @given(kpath_cases())
 def test_solve_kpath_hits_the_first_subset_of_a_brute_scan(case):
     d, k, b = case
-    radius = -(-k // b)
-    g = underlying_graph(d)
-    hit = None
-    for centers in combinations(sorted(d.vertices), b):
-        region = frozenset().union(*(ballcover.ball(g, c, radius) for c in centers))
-        if brute_longest_path(d.induced(region))[0] >= k:
-            hit = centers
-            break
+    regions = _cover_regions(d, k, b)
+    hit = next((centers for centers, region in regions
+                if brute_longest_path(d.induced(region))[0] >= k), None)
     res = solve_kpath_ballcover(d, k, b)
     assert res.satisfiable == (hit is not None), (d.arcs, k, b)
-    assert res.stats["hit_subset"] == hit, (d.arcs, k, b)
+    whole = _whole_graph_rule(d, k, b, regions)
+    assert res.stats["whole_graph"] == whole, (d.arcs, k, b)
+    assert res.stats["hit_subset"] == (None if whole else hit), (d.arcs, k, b)
+
+
+def _cover_regions(d, k, b):
+    """(centers, region) for every b-subset, in the solver's order."""
+    radius = -(-k // b)
+    g = underlying_graph(d)
+    return [(centers, frozenset().union(*(ballcover.ball(g, c, radius) for c in centers)))
+            for centers in combinations(sorted(d.vertices), b)]
+
+
+def _whole_graph_rule(d, k, b, regions):
+    """Whether the first region with room for k arcs misses 1..b vertices."""
+    first = next((r for _, r in regions if len(r) >= k + 1), None)
+    return first is not None and d.n - b <= len(first) < d.n
+
+
+@st.composite
+def kpath_route_cases(draw):
+    """A digraph on 2..8 vertices whose underlying graph is connected, b,
+    and a k drawn on a drawn side of the whole-graph rule, where that
+    side has any k."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    arcs = set()
+    for i in range(1, n):
+        u, v = order[draw(st.integers(0, i - 1))], order[i]
+        arcs.add(draw(st.sampled_from([(u, v), (v, u)])))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    d = Digraph.of(n, arcs)
+    b = draw(st.integers(1, min(n, 3)))
+    whole = draw(st.booleans())
+    ks = [k for k in range(1, n)
+          if _whole_graph_rule(d, k, b, _cover_regions(d, k, b)) == whole]
+    k = draw(st.sampled_from(ks or range(1, n)))
+    return d, k, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kpath_route_cases())
+def test_solve_kpath_answers_on_both_routes(case):
+    d, k, b = case
+    res = solve_kpath_ballcover(d, k, b)
+    s = res.stats
+    assert s["whole_graph"] == _whole_graph_rule(d, k, b, _cover_regions(d, k, b))
+    assert s["dp_runs"] + s["cache_hits"] + s["skipped_small"] == s["subsets"]
+    longest, _ = brute_longest_path(d)
+    assert res.satisfiable == (longest >= k), (d.arcs, k, b)
+    if not res.satisfiable:
+        assert res.witness is None
+        return
+    path = res.witness
+    assert len(set(path)) == len(path), path
+    assert all(d.has_arc(u, v) for u, v in zip(path, path[1:])), path
+    assert len(path) - 1 >= k
 
 
 K4 = Digraph.of(4, [(u, v) for u in range(4) for v in range(4) if u != v])

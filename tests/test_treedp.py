@@ -15,7 +15,6 @@ from outbranching import (
     Digraph,
     brute_longest_path,
     brute_max_internal,
-    brute_max_internal_tree,
     brute_max_leaves,
     reachable,
     underlying_graph,
@@ -40,7 +39,7 @@ from outbranching.treewidth import (
     exact_treewidth_small,
     make_nice,
 )
-from helpers import grid_digraph, random_corpus
+from helpers import brute_max_internal_tree, grid_digraph, random_corpus
 
 EDGE = "edge"
 
