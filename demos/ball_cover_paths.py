@@ -25,8 +25,10 @@ def main():
           f"{result.stats['subsets']} center subset(s)")
     print(f"witness path: {result.witness}")
 
-    # An unsatisfiable ask forces the full enumeration, so the stats
-    # show the real workload at each ball count.
+    # An unsatisfiable ask walks every subset, so the stats show the real
+    # workload at each ball count.  (Had the first region with room for
+    # k arcs missed only 1..b vertices, one DP on the whole digraph would
+    # have answered instead; on this instance none does.)
     k = want + 1
     print(f"\nasking for k={k} arcs (impossible) exhausts the search:")
     print(f"{'b':>3} {'radius':>7} {'subsets':>8} {'dp runs':>8} "
