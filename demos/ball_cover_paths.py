@@ -13,7 +13,7 @@ from outbranching.generators import GeneratorSpec, generate
 
 
 def main():
-    spec = GeneratorSpec("random-sparse", n=12, m=16, seed=5, p2=0.5)
+    spec = GeneratorSpec("random-sparse", n=24, m=23, seed=2, p2=0.0)
     d = generate(spec)
     want, _ = brute_longest_path(d)
     print(f"instance: random digraph, {d.n} vertices, {d.m} arcs")
@@ -26,9 +26,9 @@ def main():
     print(f"witness path: {result.witness}")
 
     # An unsatisfiable ask walks every subset, so the stats show the real
-    # workload at each ball count.  (Had the first region with room for
-    # k arcs missed only 1..b vertices, one DP on the whole digraph would
-    # have answered instead; on this instance none does.)
+    # workload at each ball count.  (Had a region due to run missed at
+    # most b vertices, one DP on the whole digraph would have answered
+    # and ended the walk; on this instance none does.)
     k = want + 1
     print(f"\nasking for k={k} arcs (impossible) exhausts the search:")
     print(f"{'b':>3} {'radius':>7} {'subsets':>8} {'dp runs':>8} "

@@ -10,10 +10,10 @@ b-subsets in ascending order and runs the path DP on the induced pieces.
 
 Every piece is an induced subdigraph of the input, so one DP on the
 whole digraph decides the same question.  The cover pays off only when
-its pieces are much smaller than the input; when k is near n, the first
-piece that runs already misses at most b vertices, and the pieces after
-it rerun almost the whole digraph.  In that case the solver runs the
-path DP once on the whole digraph instead and answers from it.
+its pieces are much smaller than the input, so a piece that would run
+and misses at most b vertices is not run: the solver runs the path DP
+once on the whole digraph instead, and its answer, yes or no, ends the
+walk.
 
 The pieces nest: when region R lies inside region F, the subdigraph
 induced by R is an induced subdigraph of the one induced by F, so every
@@ -67,9 +67,9 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     union of their radius-ceil(k/b) balls, and runs the treewidth path
     DP there, unless the region is too small for k arcs or lies inside
     a region whose DP fell short of k.  Each ball is built the first
-    time a subset needs it.  When the first region large enough for k
-    arcs is not the whole vertex set but misses at most b vertices, one
-    DP on the whole digraph answers instead and the walk stops there.
+    time a subset needs it.  A region that would run and misses at most
+    b vertices is not run: one DP on the whole digraph answers instead,
+    yes or no, and the walk stops there.
     Exact for every b between 1 and n; the subset count is checked
     against the budget up front, whichever way the call goes.
 
@@ -114,17 +114,15 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
             stats["cache_hits"] += 1
             continue
         stats["dp_runs"] += 1
-        if stats["dp_runs"] == 1 and n - b <= len(region) < n:
-            stats["whole_graph"] = True
-            best = dp_longest_path(digraph, target=k)
-            if best is None:
+        whole = stats["whole_graph"] = len(region) >= n - b
+        best = dp_longest_path(digraph if whole else digraph.induced(region), target=k)
+        if best is None:
+            if whole:
                 break
-        else:
-            best = dp_longest_path(digraph.induced(region), target=k)
-            if best is None:
-                failed = [f for f in failed if not f <= region]
-                failed.append(region)
-                continue
+            failed = [f for f in failed if not f <= region]
+            failed.append(region)
+            continue
+        if not whole:
             stats["hit_subset"] = centers
         path = best[1]
         for u, v in zip(path, path[1:]):

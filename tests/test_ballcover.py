@@ -4,7 +4,7 @@ from outbranching import (Digraph, BudgetError, bfs_layers, brute_longest_path,
                           underlying_graph)
 from outbranching import ballcover
 from outbranching.ballcover import ball, solve_kpath_ballcover
-from outbranching.generators import generate, grid_spec
+from outbranching.generators import GeneratorSpec, generate, grid_spec
 from outbranching.treedp import dp_longest_path
 from helpers import grid_digraph, random_corpus
 
@@ -193,11 +193,18 @@ def test_cover_lemma_on_oracle_paths():
 
 
 def test_stats_reporting():
+    # k=4 and b=2 give radius 2: on a 5-cycle the first region, around 0
+    # and 1, is the whole cycle, so the whole digraph answers; on a
+    # 9-cycle it misses 3 vertices, and the cover names its centers
     cycle = Digraph.of(5, [(i, (i + 1) % 5) for i in range(5)])
     res = solve_kpath_ballcover(cycle, 4, 2)
     assert res.satisfiable
-    assert res.stats["hit_subset"] is not None
+    assert res.stats["whole_graph"] and res.stats["hit_subset"] is None
     assert res.stats["radius"] == 2
+    cycle9 = Digraph.of(9, [(i, (i + 1) % 9) for i in range(9)])
+    res = solve_kpath_ballcover(cycle9, 4, 2)
+    assert res.satisfiable and not res.stats["whole_graph"]
+    assert res.stats["hit_subset"] == (0, 1)
     no = solve_kpath_ballcover(cycle, 5, 5)
     assert not no.satisfiable
     assert no.stats["subsets"] == 1
@@ -205,13 +212,16 @@ def test_stats_reporting():
 
 def test_no_call_accounts_for_every_subset():
     # a zigzag's longest path has one arc; each subset is too small for
-    # k=4, runs the DP, or lies inside a region whose DP fell short
-    zigzag = Digraph.of(8, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(7)])
+    # k=4, runs the DP, or lies inside a region whose DP fell short; on
+    # 14 vertices no region of radius 2 comes within b=2 of the whole
+    zigzag = Digraph.of(14, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(13)])
     res = solve_kpath_ballcover(zigzag, 4, 2)
     assert not res.satisfiable
     s = res.stats
     assert s["skipped_small"] > 0 and s["cache_hits"] > 0 and s["dp_runs"] > 0
-    assert s["dp_runs"] + s["cache_hits"] + s["skipped_small"] == s["subsets"] == 28
+    assert s["dp_runs"] + s["cache_hits"] + s["skipped_small"] == s["subsets"] == 91
+    assert (s["dp_runs"], s["cache_hits"], s["skipped_small"]) == (31, 58, 2)
+    assert not s["whole_graph"]
 
 
 def test_whole_graph_answers_when_the_first_region_misses_at_most_b():
@@ -245,3 +255,27 @@ def test_grid_regions_that_miss_more_than_b_keep_the_cover(side, k):
     assert res.satisfiable and len(res.witness) >= k + 1
     s = res.stats
     assert (s["whole_graph"], s["dp_runs"], s["hit_subset"]) == (False, 1, (0, 1))
+
+
+def test_a_whole_set_region_answers_without_walking_the_rest():
+    # the ladder's 6x6 p2=0.5 k=35 row: the first region is the whole
+    # vertex set, and its "no" ends the walk at the first of 630 subsets
+    d = generate(grid_spec(6, p2=0.5))
+    res = solve_kpath_ballcover(d, 35, 2)
+    assert not res.satisfiable and res.witness is None
+    assert res.stats == {"radius": 18, "subsets": 1, "dp_runs": 1,
+                         "cache_hits": 0, "skipped_small": 0,
+                         "whole_graph": True, "hit_subset": None}
+
+
+def test_a_near_whole_region_after_failed_ones_answers():
+    # random-sparse n=40, k=23, b=2: the first region (37 vertices) runs
+    # and falls short, the next six lie inside it, and the eighth holds
+    # 38 = n - b vertices, so one whole-digraph DP says "no" and the walk
+    # stops at 8 of 780 subsets
+    d = generate(GeneratorSpec("random-sparse", n=40, m=55, seed=2, p2=0.5))
+    res = solve_kpath_ballcover(d, 23, 2)
+    assert not res.satisfiable and res.witness is None
+    assert res.stats == {"radius": 12, "subsets": 8, "dp_runs": 2,
+                         "cache_hits": 6, "skipped_small": 0,
+                         "whole_graph": True, "hit_subset": None}

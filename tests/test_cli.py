@@ -22,6 +22,7 @@ def write_instance(tmp_path, text, name="inst.txt"):
 
 STAR = "4 3\n0 1\n0 2\n0 3\nroot 0\n"
 PATH4 = "4 3\n0 1\n1 2\n2 3\n"
+PATH8 = "8 7\n" + "".join(f"{i} {i + 1}\n" for i in range(7))
 
 
 def test_generate_two_by_two(capsys):
@@ -73,6 +74,14 @@ def test_solve_iob_and_kpath(capsys, tmp_path):
     assert code == 0 and payload["answer"] is True
     assert payload["witness"]["root"] == 0
     code, out, _ = run(capsys, "solve-kpath", "--input", path, "--k", "3",
+                       "--b", "2")
+    payload = json.loads(out)
+    assert code == 0 and payload["answer"] is True
+    assert payload["path"] == [0, 1, 2, 3]
+    # on an 8-vertex path the first region at k=3, b=2 covers 0..3 and
+    # misses 4 vertices, so the cover runs
+    path8 = write_instance(tmp_path, PATH8, name="path8.txt")
+    code, out, _ = run(capsys, "solve-kpath", "--input", path8, "--k", "3",
                        "--b", "2")
     payload = json.loads(out)
     assert code == 0 and payload["answer"] is True

@@ -60,12 +60,17 @@ def corpus():
             for witness in (True, False):
                 calls.append((f"grid{s}x{s}", d, "lob", k, 0, None, witness))
                 calls.append((f"grid{s}x{s}", d, "iob", k, 0, None, witness))
-    # one-way grids whose kpath hits come after regions skipped inside
-    # a failed one
+    # one-way grids: kpath hits in the cover's first region at small k,
+    # and the whole-digraph route answers from k=4 on
     for rows, cols, seed, b in ((3, 4, 0, 2), (3, 5, 3, 3)):
         d = grid_digraph(rows, cols, seed=seed, both_ways_prob=0.2)
         for k in range(2, 10):
             calls.append((f"grid{rows}x{cols}s{seed}", d, "kpath", k, None, b, True))
+    # sparse digraphs whose kpath yes and no come after regions skipped
+    # inside a failed one, with no region near the whole vertex set
+    for n, seed, b, k in ((12, 11, 2, 2), (10, 0, 1, 5)):
+        d = generate(GeneratorSpec("random-sparse", n=n, m=n, seed=seed, p2=0.3))
+        calls.append((f"sparse{n}s{seed}", d, "kpath", k, None, b, True))
     counted = [
         ("multi_cut", multi_cut_instance(), (1, 2, 3)),
         ("complete7", complete_digraph(7), (1, 2, 6)),

@@ -155,9 +155,20 @@ def _cover_regions(d, k, b):
 
 
 def _whole_graph_rule(d, k, b, regions):
-    """Whether the first region with room for k arcs misses 1..b vertices."""
-    first = next((r for _, r in regions if len(r) >= k + 1), None)
-    return first is not None and d.n - b <= len(first) < d.n
+    """Whether a brute walk of the cover meets a region left to run with
+    at least n - b vertices before any region holds a k-arc path: regions
+    too small for k arcs, or inside one whose longest path falls short,
+    are not left to run."""
+    failed = []
+    for _, region in regions:
+        if len(region) < k + 1 or any(region <= f for f in failed):
+            continue
+        if len(region) >= d.n - b:
+            return True
+        if brute_longest_path(d.induced(region))[0] >= k:
+            return False
+        failed.append(region)
+    return False
 
 
 @st.composite
