@@ -38,19 +38,16 @@ from collections import namedtuple
 HIGH_INDEGREE = 3
 
 
-def reachable(digraph, root, removed=(), removed_arcs=()):
-    """Vertices reachable from ``root`` after deleting the given vertices
-    and arcs. The root itself counts as reachable unless it is removed."""
-    removed, removed_arcs = frozenset(removed), frozenset(removed_arcs)
-    if root in removed or root not in digraph.vertices:
+def reachable(digraph, root):
+    """Vertices reachable from ``root``, the root included; empty when the
+    root is not a vertex."""
+    if root not in digraph.vertices:
         return frozenset()
     seen, stack = {root}, [root]
     while stack:
-        x = stack.pop()
-        for y in digraph.out_neighbors(x) - seen - removed:
-            if (x, y) not in removed_arcs:
-                seen.add(y)
-                stack.append(y)
+        for y in digraph.out_neighbors(stack.pop()) - seen:
+            seen.add(y)
+            stack.append(y)
     return frozenset(seen)
 
 

@@ -56,18 +56,19 @@ in-bag vertices marked outside.  The bound never rises along the walk,
 and the states whose bound is below k are dropped at every join, which
 never pairs two states whose scores cannot add up to it, and after every
 forget.  What is left is exactly the unbounded table restricted to
-bound >= k, with the same scores, so an optimum of at least k comes out
-unchanged and an optimum below k empties the final table.  Its witness
-can differ from an unbounded run's where a join ties: the join keeps the
-first best pair in the order its groups first occur, and dropped states
-can reorder the groups.
+bound >= k, with the same values, so an optimum of at least k comes out
+unchanged, witness and all, and an optimum below k empties the final
+table.
 
-A table maps each state to its best score and the arcs of the first
-partial solution that reached that score, one bit per arc of the digraph.
-Introduce passes the value on, forget adds to the score, an edge sets
-the bit of the arc it picks, and a join adds the two scores and unites
-the two arc sets.  So the witness is read off the final table alone,
-and each table is freed as soon as the op above it has consumed it.
+A table maps each state to a value (score, arcs), arcs with one bit per
+arc of the digraph.  Introduce passes the value on, forget adds to the
+score, an edge sets the bit of the arc it picks, and a join adds the two
+scores and unites the two disjoint arc sets.  Each keeps the order of
+values, so one rule keeps or returns every value: the larger (score,
+arcs) tuple wins, and a witness depends only on the digraph and the
+decomposition, not on table order (a path's early stop aside).  The
+witness is read off the final table alone, and each table is freed as
+soon as the op above it has consumed it.
 Every run counts the states its ops build and raises BudgetError past
 DP_STATE_BUDGET.  A broken invariant, including a witness that fails
 validation, raises DPInvariantError; none of these checks is an assert,
@@ -95,7 +96,7 @@ DP_STATE_BUDGET = 10_000_000
 
 def _push(table, state, value):
     old = table.get(state)
-    if old is None or value[0] > old[0]:
+    if old is None or value > old:
         table[state] = value
 
 
@@ -250,9 +251,9 @@ def _group_pairs(tl, tr, one_child):
 class _TreeEngine:
     """Out-tree, spanning-branching and directed path tables.
 
-    A table maps each state to (score, arcs): the best score of a partial
-    solution with that state, and the arcs of the first partial solution
-    that reached it, as an int whose bit i is the i-th arc in sorted order.
+    A table maps each state to the largest (score, arcs) of a partial
+    solution with that state, where arcs is an int whose bit i is the
+    i-th arc in sorted order.
 
     Bit i of parent_bits (child_bits) is set once the vertex at bag
     position i has its parent arc (a child arc).  The status is ABSENT
@@ -400,7 +401,7 @@ class _TreeEngine:
                 raise BudgetError("dp states", DP_STATE_BUDGET - room + len(table),
                                   DP_STATE_BUDGET)
             # a state is checked when it is set: one that loses to a kept
-            # score was checked with that score
+            # value was checked with that value's score
             one = target is not None and max(blocks, default=-1) == 0
             size = lsize + rsize - grow * n_in
             if size > cap:
@@ -429,7 +430,9 @@ class _TreeEngine:
                     st = (blocks, lp | rp, lc | rc, rstat, size)
                     score = lscore + rscore
                     old = table.get(st)
-                    if old is None or score > old[0]:
+                    # _push's rule, with the arcs built only on a tie
+                    if old is None or score > old[0] or (
+                            score == old[0] and larcs | rarcs > old[1]):
                         table[st] = score, larcs | rarcs
                         if one and score + (lc | rc).bit_count() >= target:
                             self.hit = st
@@ -547,42 +550,31 @@ def _collect_arcs(arcs, mask):
     return [arc for i, arc in enumerate(arcs) if mask >> i & 1]
 
 
-def _best_closed(digraph, nice, engine):
-    """Run the engine; (score, state, arcs) for its best finished state,
-    with the arcs its table value holds, or None if no state closed
-    (with a target: none reached it).  A hit state stands in for the
-    best finished one, scored by its arcs."""
-
-    table = _execute(digraph, nice, engine)
-    hit = engine.hit
-    if hit is not None:
-        score, arcs = table[hit]
-        return score + hit[2].bit_count(), hit, _collect_arcs(engine.arcs, arcs)
-    closed = [state for state in table if state[3] == CLOSED]
-    if not closed:
-        return None
-    best = max(closed, key=lambda state: table[state][0])
-    score, arcs = table[best]
-    return score, best, _collect_arcs(engine.arcs, arcs)
-
-
 def _best_tree(digraph, root, nice, spanning, size_cap=None, target=None):
-    """The best finished out-tree of the _TreeEngine run, as (score, tree).
-
-    The witness is validated, its leaf count (spanning) or internal count
-    must match the table, and under a size cap so must its size.  Returns
-    None when no state closed.
+    """Run the _TreeEngine; (score, tree) for its hit state, else for its
+    finished state with the largest (score, arcs) value, or None if there
+    is neither.  root=None runs the path engine, whose tree is rooted at
+    its one vertex without a parent.  The tree is validated, its leaf
+    count (spanning) or internal count must match the score, and under a
+    size cap its size must match the state's.
     """
 
-    if root not in digraph.vertices:
-        raise ValueError(f"root {root} not in digraph")
-    best = _best_closed(digraph, nice, _TreeEngine(digraph, root, spanning, size_cap, target))
-    if best is None:
+    engine = _TreeEngine(digraph, root, spanning, size_cap, target)
+    table = _execute(digraph, nice, engine)
+    state = engine.hit or max((s for s in table if s[3] == CLOSED),
+                              key=table.__getitem__, default=None)
+    if state is None:
         return None
-    score, state, arcs = best
+    score, arcs = table[state]
+    # a finished state has no solution vertex in its bag, so only a hit
+    # has child bits: arcs whose tails have not scored yet
+    score += state[2].bit_count()
+    arcs = _collect_arcs(engine.arcs, arcs)
     parents = {h: t for t, h in arcs}
     if len(parents) != len(arcs):
         raise DPInvariantError("a vertex got two parents")
+    if root is None:
+        root = min({t for t, _ in arcs} - parents.keys(), default=min(digraph.vertices))
     tree = witness_tree(digraph, root, parents, spanning)
     kind, got = (("leaves", tree.leaves()) if spanning
                  else ("internal vertices", tree.internal_vertices()))
@@ -593,12 +585,18 @@ def _best_tree(digraph, root, nice, spanning, size_cap=None, target=None):
     return score, tree
 
 
+def _check_root(digraph, root):
+    if root not in digraph.vertices:
+        raise ValueError(f"root {root} not in digraph")
+
+
 def dp_max_leaves(digraph, root, nice=None):
     """Maximum number of leaves over spanning out-branchings rooted at root.
 
     Returns (count, tree) or None when no spanning branching exists.
     """
 
+    _check_root(digraph, root)
     return _best_tree(digraph, root, nice, spanning=True)
 
 
@@ -615,6 +613,7 @@ def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None, target=None
 
     if size_cap is not None and size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+    _check_root(digraph, root)
     best = _best_tree(digraph, root, nice, spanning=False, size_cap=size_cap, target=target)
     if best is None and target is None:
         raise DPInvariantError("the one-vertex tree did not survive")
@@ -624,28 +623,25 @@ def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None, target=None
 def dp_longest_path(digraph, nice=None, target=None):
     """Longest directed path, counted in arcs.  Returns (count, vertices).
 
-    Runs the rootless _TreeEngine, whose out-trees are the paths.  With a
-    target, the DP drops every state whose bound is below it and the walk
-    stops at the first path of at least target arcs, which it returns,
-    longest or not.  When no path has target arcs it returns None.
+    Runs the rootless _TreeEngine, whose one-leaf out-trees are the paths.
+    With a target, the DP drops every state whose bound is below it and
+    the walk stops at the first path of at least target arcs, which it
+    returns as found, longest or not.  When no path has target arcs it
+    returns None.
     """
 
     if not digraph.vertices:
         return None if target is not None and target > 0 else (0, [])
-    best = _best_closed(digraph, nice, _TreeEngine(digraph, None, spanning=False, target=target))
+    best = _best_tree(digraph, None, nice, spanning=False, target=target)
     if best is None:
         if target is None:
             raise DPInvariantError("no one-vertex path survived")
         return None
-    score, _, arcs = best
-    nxt = dict(arcs)
-    starts = set(nxt) - set(nxt.values()) or {min(digraph.vertices)}
-    if len(arcs) != score or len(nxt) != score or len(starts) != 1:
-        raise DPInvariantError(f"path witness with {score} arcs is not a single chain")
-    path = [starts.pop()]
-    while path[-1] in nxt and len(path) <= score:
+    score, tree = best
+    if len(tree.leaves()) != 1:
+        raise DPInvariantError(f"path witness with {score} arcs has {len(tree.leaves())} leaves")
+    nxt = {t: h for h, t in tree.parents.items()}
+    path = [tree.root]
+    while path[-1] in nxt:
         path.append(nxt[path[-1]])
-    if len(path) != score + 1 or len(set(path)) != len(path) or not all(
-            digraph.has_arc(a, b) for a, b in zip(path, path[1:])):
-        raise DPInvariantError(f"path witness {path} is not a simple path of the digraph")
     return score, path

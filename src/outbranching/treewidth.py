@@ -255,18 +255,21 @@ def _component_masks(graph, comp):
 
 
 def _exact_order_component(graph, comp):
-    """Optimal elimination ordering of one connected component.
+    """Optimal elimination ordering of one connected component, and its
+    width (the treewidth of the component).
 
     Held-Karp style subset dynamic program: f(S) is the best achievable
     width over orderings that eliminate exactly S first, and the cost of
     eliminating v after S is the number of vertices outside S joined to v
-    through S.  Exponential in |comp|, so callers cap the component size.
+    through S.  Each S ^ {v} is a smaller int than S, so the subsets run
+    in numeric order.  Exponential in |comp|, so callers cap the
+    component size.
     """
 
     verts, adj = _component_masks(graph, comp)
     n = len(verts)
     if n == 1:
-        return [verts[0]]
+        return [verts[0]], 0
     full = (1 << n) - 1
 
     def cost(se, v):
@@ -289,8 +292,7 @@ def _exact_order_component(graph, comp):
     f = [0] * (full + 1)
     f[0] = -1
     choice = [0] * (full + 1)
-    subsets = sorted(range(1, full + 1), key=lambda s: bin(s).count("1"))
-    for se in subsets:
+    for se in range(1, full + 1):
         best = None
         best_v = -1
         s = se
@@ -315,7 +317,7 @@ def _exact_order_component(graph, comp):
         order_rev.append(verts[v])
         se ^= 1 << v
     order_rev.reverse()
-    return order_rev
+    return order_rev, f[full]
 
 
 def exact_treewidth_small(graph):
@@ -330,7 +332,7 @@ def exact_treewidth_small(graph):
     for comp in graph.components():
         if len(comp) > EXACT_LIMIT:
             raise ValueError(f"component of size {len(comp)} exceeds exact limit {EXACT_LIMIT}")
-        order.extend(_exact_order_component(graph, comp))
+        order.extend(_exact_order_component(graph, comp)[0])
     td = decomposition_from_ordering(graph, order)
     return td.width, td
 
@@ -342,12 +344,11 @@ def treewidth_upper_bound(graph):
 
     best = -1
     for comp in graph.components():
-        sub = graph.induced(comp)
         if len(comp) <= EXACT_LIMIT:
-            width, _ = exact_treewidth_small(sub)
+            width = _exact_order_component(graph, comp)[1]
         else:
             # the largest recorded neighbourhood is the min-fill width
-            width = max(map(len, _greedy_order(sub)[1]))
+            width = max(map(len, _greedy_order(graph.induced(comp))[1]))
         best = max(best, width)
     return best
 

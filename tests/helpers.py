@@ -93,11 +93,11 @@ def out_tree_walk_error(root, parents):
 def brute_idoms(d, r):
     """{v: immediate dominator of v} over the vertices r reaches, r mapped
     to itself, by definition: x dominates y iff y leaves
-    reachable(d, r, removed={x}). One sweep per vertex."""
+    reachable(d.without_vertices({x}), r). One sweep per vertex."""
     reach = reachable(d, r)
     dom = {y: {y} for y in reach}
     for x in reach:
-        for y in reach - reachable(d, r, removed={x}):
+        for y in reach - reachable(d.without_vertices({x}), r):
             dom[y].add(x)
     # the strict dominators of y form a chain; the idom is its deepest one,
     # the one with the most dominators of its own
@@ -110,7 +110,7 @@ def brute_arcs_disconnecting_two(d, r):
     base = reachable(d, r)
     out = set()
     for arc in d.arcs:
-        lost = base - reachable(d, r, removed_arcs=(arc,))
+        lost = base - reachable(d.without_arcs({arc}), r)
         if len(lost) >= 2:
             out.add(arc)
     return frozenset(out)
@@ -118,7 +118,7 @@ def brute_arcs_disconnecting_two(d, r):
 
 def brute_is_rooted_2connected(d, r):
     """No z != r strands anything, one sweep per vertex; r reaches all."""
-    return all(reachable(d, r, removed=(z,)) == d.vertices - {z}
+    return all(reachable(d.without_vertices({z}), r) == d.vertices - {z}
                for z in d.vertices if z != r)
 
 
@@ -127,7 +127,7 @@ def brute_cut_profile(d, r):
     all."""
     stranded = {}
     for x in sorted(d.vertices - {r}):
-        lost = d.vertices - {x} - reachable(d, r, removed=(x,))
+        lost = d.vertices - {x} - reachable(d.without_vertices({x}), r)
         if lost:
             stranded[x] = frozenset(d.out_neighbors(x) & lost)
     multi = frozenset(x for x, ys in stranded.items() if len(ys) >= 2)

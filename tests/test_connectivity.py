@@ -32,8 +32,8 @@ def bidirected_cycle(n):
 def test_reachable_plain_and_with_removals():
     d = Digraph.of(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
     assert reachable(d, 0) == {0, 1, 2, 3, 4}
-    assert reachable(d, 0, removed=(1,)) == {0, 4}
-    assert reachable(d, 0, removed_arcs=(((0, 1)),)) == {0, 4}
+    assert reachable(d.without_vertices({1}), 0) == {0, 4}
+    assert reachable(d.without_arcs({(0, 1)}), 0) == {0, 4}
     assert reachable(d, 3) == {3}
 
 

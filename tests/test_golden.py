@@ -12,11 +12,13 @@ A change that alters outputs on purpose re-records the file with
 
     python tests/test_golden.py --record
 
-and lists the diff in CHANGES.md.
+and lists the diff in CHANGES.md: the script prints how many entries
+changed, per problem and field.
 """
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -105,12 +107,39 @@ def snapshot():
     return [outputs(call) for call in corpus()]
 
 
+# the fields that name a call in the snapshot
+CALL_FIELDS = ("instance", "problem", "k", "root", "b", "witness")
+
+
+def changed_entries(recorded, current):
+    """(call, fields) for each entry of current that differs from the
+    recorded entry at its place: call holds its CALL_FIELDS values and
+    fields lists, sorted, every key whose value changed, came or went."""
+    changes = []
+    for now, then in zip(current, recorded):
+        fields = sorted(key for key in now.keys() | then.keys() if now.get(key) != then.get(key))
+        if fields:
+            changes.append((tuple(now.get(f) for f in CALL_FIELDS), fields))
+    return changes
+
+
+def test_changed_entries_names_each_call_and_field():
+    then = [{"instance": "a", "problem": "lob", "k": 1, "root": 0, "b": None,
+             "witness": True, "answer": True, "found": [[0, 1]]}]
+    then.append(dict(then[0], k=2))
+    now = [then[0], dict(then[1], found=[[0, 2]], answer=False, reports=[])]
+    assert changed_entries(then, then) == []
+    assert changed_entries(then, now) == [
+        (("a", "lob", 2, 0, None, True), ["answer", "found", "reports"])]
+
+
 def test_outputs_match_the_snapshot():
     recorded = json.loads(GOLDEN.read_text())
     current = snapshot()
     assert len(current) == len(recorded)
-    for now, then in zip(current, recorded):
-        assert now == then
+    changes = changed_entries(recorded, current)
+    assert not changes, f"{len(changes)} entries changed:\n" + "\n".join(
+        f"{dict(zip(CALL_FIELDS, call))}: {', '.join(fields)}" for call, fields in changes)
 
 
 def test_snapshot_reaches_every_outcome():
@@ -185,6 +214,13 @@ def test_analyze_reports_match_the_snapshot():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: python {sys.argv[0]} --record")
+    current = snapshot()
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    print(f"entries: {len(recorded)} -> {len(current)}")
+    changed = Counter((call[1], field) for call, fields in changed_entries(recorded, current)
+                      for field in fields)
+    for (problem, field), count in sorted(changed.items()):
+        print(f"{problem} {field}: {count} changed")
     # one call a line, so a re-record diffs call by call
-    lines = ",\n".join(json.dumps(out, sort_keys=True, separators=(",", ":")) for out in snapshot())
+    lines = ",\n".join(json.dumps(out, sort_keys=True, separators=(",", ":")) for out in current)
     GOLDEN.write_text(f"[\n{lines}\n]\n")

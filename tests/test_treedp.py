@@ -479,6 +479,52 @@ def test_bounded_tables_are_the_unbounded_ones_restricted(case):
         assert tree.root == root and tree.size <= (cap or d.n)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dp_cases(), st.booleans())
+def test_a_target_keeps_the_unbounded_witness(case, capped):
+    # every kept value is the largest (score, arcs) over the partial
+    # solutions of its state, and the bound drops no state the unbounded
+    # optimum passes through, so every target up to the optimum returns
+    # the unbounded tree
+    d, root, cap, order = case
+    cap = cap if capped else None
+    nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
+    opt, tree = dp_max_internal_outtree(d, root, nice, size_cap=cap)
+    for target in range(1, opt + 1):
+        assert dp_max_internal_outtree(d, root, nice, size_cap=cap, target=target) == (
+            opt, tree), (d.arcs, root, cap, target)
+
+
+def _reversed(table):
+    return dict(reversed(table.items()))
+
+
+class _ReversedEngine(_TreeEngine):
+    """A _TreeEngine that hands every op its input tables in reversed order."""
+
+    def introduce(self, tin, bag, v):
+        return super().introduce(_reversed(tin), bag, v)
+
+    def forget(self, tin, bag, v, need=0):
+        return super().forget(_reversed(tin), bag, v, need)
+
+    def edge(self, tin, bag, e):
+        return super().edge(_reversed(tin), bag, e)
+
+    def join(self, tl, tr, *args):
+        return super().join(_reversed(tl), _reversed(tr), *args)
+
+
+def test_witnesses_do_not_depend_on_table_order():
+    cases = [(d, r) for d in random_corpus(60, seed=11, n_lo=4, n_hi=8, density=2.0)
+             for r in sorted(d.vertices)]
+    want = [(dp_max_leaves(d, r), dp_max_internal_outtree(d, r)) for d, r in cases]
+    with mock.patch.object(treedp, "_TreeEngine", _ReversedEngine):
+        got = [(dp_max_leaves(d, r), dp_max_internal_outtree(d, r)) for d, r in cases]
+    for (d, r), w, g in zip(cases, want, got):
+        assert g == w, (d.arcs, r)
+
+
 def _covers(t, tscore, s, score, fewer_children_win):
     """Whether state t with tscore is s or dominates s with score."""
     if (t[0], t[1], t[3], t[4]) != (s[0], s[1], s[3], s[4]) or tscore < score:
