@@ -307,13 +307,15 @@ class _TreeEngine:
         is_root = v == self.root
         outside = not self.spanning and not is_root
         cap, grow = self.size_cap, self.grow
+        # distinct states stay distinct, so no two meet and none is kept
+        # over another
         table = {}
         for (blocks, pb, cb, rstat, size), value in tin.items():
             pb = (pb & low) | (pb & ~low) << 1
             cb = (cb & low) | (cb & ~low) << 1
             ob, nb, mapping = _insert(blocks, p)
             if outside:
-                _push(table, (ob, pb, cb, rstat, size), value)
+                table[ob, pb, cb, rstat, size] = value
             if rstat == CLOSED or size >= cap:
                 continue
             if is_root:
@@ -322,7 +324,7 @@ class _TreeEngine:
                 rstat = nb[p]
             elif rstat >= 0:
                 rstat = mapping[rstat]
-            _push(table, (nb, pb, cb, rstat, size + grow), value)
+            table[nb, pb, cb, rstat, size + grow] = value
         return table
 
     def forget(self, tin, bag, v, need=0):
