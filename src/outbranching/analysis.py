@@ -18,7 +18,7 @@ import io
 import math
 import time
 
-from .errors import BudgetError
+from .errors import DEFAULT_BUDGET, BudgetError
 from .digraph import underlying_graph
 from .leaf_pipeline import reduce_lob, solve_lob
 from .internal_pipeline import solve_iob
@@ -38,16 +38,17 @@ def solve(problem, digraph, k, root=None, b=None, budget=None, witness=True):
 
     lob and iob take root (None scans every root) and witness; kpath
     takes b and always returns its path. iob and kpath take budget, and
-    None means the solver's own default. Arguments the problem does not
-    take are ignored.
+    None means DEFAULT_BUDGET. Arguments the problem does not take are
+    ignored.
     """
     if problem == "lob":
         return solve_lob(digraph, k, root=root, witness=witness)
-    kwargs = {} if budget is None else {"budget": budget}
+    if budget is None:
+        budget = DEFAULT_BUDGET
     if problem == "iob":
-        return solve_iob(digraph, k, root=root, witness=witness, **kwargs)
+        return solve_iob(digraph, k, root=root, budget=budget, witness=witness)
     if problem == "kpath":
-        return solve_kpath_ballcover(digraph, k, b, **kwargs)
+        return solve_kpath_ballcover(digraph, k, b, budget)
     raise ValueError(f"unknown problem {problem!r}")
 
 

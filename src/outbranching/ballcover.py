@@ -36,10 +36,8 @@ from collections import namedtuple
 from itertools import combinations
 
 from .digraph import underlying_graph
-from .errors import BudgetError, DPInvariantError
+from .errors import DEFAULT_BUDGET, BudgetError, DPInvariantError
 from .treedp import dp_longest_path
-
-DEFAULT_SUBSET_BUDGET = 200000
 
 
 def ball(graph, center, radius):
@@ -60,7 +58,7 @@ def ball(graph, center, radius):
 PathSearchResult = namedtuple("PathSearchResult", "satisfiable witness stats")
 
 
-def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
+def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_BUDGET):
     """Decide whether the digraph has a directed path with >= k arcs.
 
     Tries every b-subset of vertices in ascending order, induces the
@@ -70,8 +68,11 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
     time a subset needs it.  A region that would run and misses at most
     b vertices is not run: one DP on the whole digraph answers instead,
     yes or no, and the walk stops there.
-    Exact for every b between 1 and n; the subset count is checked
-    against the budget up front, whichever way the call goes.
+    Exact for every b between 1 and n.  A k above n - 1 is a "no" at
+    once, since no path has more arcs; otherwise the subset count is
+    checked against the budget up front, whichever way the call goes.
+    A "yes" path is checked against the digraph before it is returned:
+    distinct vertices, consecutive ones joined by arcs, at least k arcs.
 
     stats counts the subsets walked, the DP runs, the regions skipped
     inside a failed region (cache_hits) and those skipped as too small;
@@ -94,8 +95,10 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
         "whole_graph": False,
         "hit_subset": None,
     }
+    if k > n - 1:
+        return PathSearchResult(False, None, stats)
     total = math.comb(n, b)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetError("ball-cover subsets", total, budget)
     graph = underlying_graph(digraph)
     balls = {}
@@ -125,6 +128,11 @@ def solve_kpath_ballcover(digraph, k, b, budget=DEFAULT_SUBSET_BUDGET):
         if not whole:
             stats["hit_subset"] = centers
         path = best[1]
+        if len(set(path)) < len(path):
+            raise DPInvariantError(f"path witness {path} repeats a vertex")
+        if len(path) - 1 < k:
+            raise DPInvariantError(
+                f"path witness has {len(path) - 1} arcs, fewer than {k}")
         for u, v in zip(path, path[1:]):
             if not digraph.has_arc(u, v):
                 raise DPInvariantError(f"path witness uses ({u}, {v}), not an arc")

@@ -74,8 +74,7 @@ def _cmd_solve(args):
     if args.problem == "kpath":
         payload["b"] = args.b
         payload["path"] = res.witness
-        payload["stats"] = {key: value for key, value in res.stats.items()
-                            if key != "hit_subset"}
+        payload["stats"] = res.stats
     else:
         payload["root"] = res.root
         payload["witness"] = _tree_payload(res.witness)

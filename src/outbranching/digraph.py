@@ -175,14 +175,6 @@ class UndirectedGraph:
             comps.append(frozenset(comp))
         return comps
 
-    def __eq__(self, other):
-        if not isinstance(other, UndirectedGraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.m})"
 
@@ -196,35 +188,41 @@ def underlying_graph(digraph):
 def contract_arc_directed(digraph, arc):
     """Contract the arc (u, v): one vertex replaces both endpoints, keeping
     every in-arc and out-arc either endpoint had. Used when collapsing an
-    arc whose removal would strand vertices and when merging a pendant
-    cut vertex with its lone dependent; the merged vertex keeps the
+    arc whose removal would strand vertices; the merged vertex keeps the
     tail's id, so a root at the tail survives by name. Loops created by
     arcs between u and v disappear; duplicate arcs collapse because arcs
-    form a set.
+    form a set. The input is left unchanged."""
+    return contract_arcs(digraph, (arc,))
 
-    The result shares the input's neighbor sets except those of u, v and
-    v's neighbors, so the work beyond copying the two neighbor maps and
-    the arc set is O(deg u + deg v). The input is left unchanged."""
-    u, v = arc
-    if arc not in digraph.arcs:
-        raise ValueError(f"cannot contract missing arc ({u}, {v})")
+
+def contract_arcs(digraph, arcs):
+    """Contract the arcs one after another, in the given order, as a chain
+    of contract_arc_directed calls would; an arc missing at its turn
+    raises ValueError (on a matching, none is).  The two neighbor maps and
+    the arc set are copied once, so the cost is O(n + m) plus
+    O(deg u + deg v) per arc (u, v); the result shares every neighbor set
+    no contraction rewires."""
     succ, pred = dict(digraph._succ), dict(digraph._pred)
-    out_v, in_v = succ.pop(v), pred.pop(v)
-    gone, new = set(), set()
-    for w in out_v:
-        gone.add((v, w))
-        if w != u:
-            new.add((u, w))
-            pred[w] = pred[w] - {v} | {u}
-    for w in in_v:
-        gone.add((w, v))
-        if w != u:
-            new.add((w, u))
-            succ[w] = succ[w] - {v} | {u}
-    succ[u] = (succ[u] | out_v) - {u, v}
-    pred[u] = (pred[u] | in_v) - {u, v}
-    return Digraph._from_parts(digraph.vertices - {v},
-                               (digraph.arcs - gone) | new, succ, pred)
+    kept, heads = set(digraph.arcs), set()
+    for u, v in arcs:
+        if (u, v) not in kept:
+            raise ValueError(f"cannot contract missing arc ({u}, {v})")
+        heads.add(v)
+        out_v, in_v = succ.pop(v), pred.pop(v)
+        for w in out_v:
+            kept.discard((v, w))
+            if w != u:
+                kept.add((u, w))
+                pred[w] = pred[w] - {v} | {u}
+        for w in in_v:
+            kept.discard((w, v))
+            if w != u:
+                kept.add((w, u))
+                succ[w] = succ[w] - {v} | {u}
+        succ[u] = (succ[u] | out_v) - {u, v}
+        pred[u] = (pred[u] | in_v) - {u, v}
+    return Digraph._from_parts(digraph.vertices - heads, frozenset(kept),
+                               succ, pred)
 
 
 # An alias, not a second contraction: the name stays public because
@@ -263,8 +261,8 @@ class OutTree:
     """A rooted tree whose arcs point away from the root.
 
     Stored as a parent map {child: parent} and nothing else: the root has
-    no entry, and the vertex set, children, leaves and internal vertices
-    are read off the map when asked for. A single-vertex tree is the root
+    no entry, and the vertex set, leaves and internal vertices are read
+    off the map when asked for. A single-vertex tree is the root
     alone, and that root counts as a leaf (out-degree zero).
     """
 
@@ -299,11 +297,6 @@ class OutTree:
     @property
     def size(self):
         return len(self.parents) + 1
-
-    def children(self, v):
-        if v != self.root and v not in self.parents:
-            raise KeyError(v)
-        return frozenset(c for c, p in self.parents.items() if p == v)
 
     def arcs(self):
         return frozenset((p, c) for c, p in self.parents.items())

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default enumeration budget."""
+
+# Most iob sub-instances or kpath ball-cover subsets one call enumerates
+DEFAULT_BUDGET = 200000
 
 
 class BudgetError(RuntimeError):

@@ -51,9 +51,6 @@ class GeneratorSpec:
         self.seed = seed
         self.p2 = p2
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 def _orient(edges, rng, p2):
     arcs = []

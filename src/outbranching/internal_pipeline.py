@@ -35,10 +35,8 @@ from itertools import combinations
 from .digraph import (SearchResult, bfs_layers, grow_breadth_first,
                       underlying_graph, validate_out_tree)
 from .connectivity import reachable
-from .errors import BudgetError, DPInvariantError
+from .errors import DEFAULT_BUDGET, BudgetError, DPInvariantError
 from .treedp import dp_max_internal_outtree
-
-DEFAULT_COLLECTION_BUDGET = 200000
 
 
 def ceil_sqrt(n):
@@ -103,8 +101,7 @@ def collection_size(parts, root, k):
                for j in range(min(len(pool), room) + 1))
 
 
-def generate_collection(digraph, root, k, parts,
-                        budget=DEFAULT_COLLECTION_BUDGET):
+def generate_collection(digraph, root, k, parts, budget=DEFAULT_BUDGET):
     """Yield (part_index, kept, sub_digraph) for every sub-instance of the
     parts, lazily; () yields (None, frozenset(), digraph) alone.
 
@@ -115,7 +112,7 @@ def generate_collection(digraph, root, k, parts,
         yield None, frozenset(), digraph
         return
     size = collection_size(parts, root, k)
-    if budget is not None and size > budget:
+    if size > budget:
         raise BudgetError("layered collection", size, budget)
     for index, part, base, pool, room in _choices(parts, root, k):
         rest = digraph.vertices - part
@@ -190,8 +187,7 @@ def _solve_one_root(digraph, graph, k, root, budget):
     return report, None
 
 
-def solve_iob(digraph, k, root=None, budget=DEFAULT_COLLECTION_BUDGET,
-              witness=True):
+def solve_iob(digraph, k, root=None, budget=DEFAULT_BUDGET, witness=True):
     """Decide whether some spanning out-tree has at least k internal
     vertices, rooted at the given vertex or at any vertex.
 

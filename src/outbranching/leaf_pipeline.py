@@ -48,6 +48,7 @@ from .digraph import (
     OutTree,
     SearchResult,
     contract_arc_directed,
+    contract_arcs,
     grow_breadth_first,
     underlying_graph,
     witness_tree,
@@ -141,7 +142,8 @@ def duplicate_multi_cut(digraph, multi_cut):
 
 
 def contract_pendant_arcs(digraph, pendant_arcs):
-    """Contract each single-stranding arc.
+    """Contract each single-stranding arc, in one pass over one copy of
+    the digraph.
 
     The arcs form a matching (their endpoint sets are pairwise disjoint),
     so contraction order does not matter; they are processed sorted.
@@ -152,10 +154,7 @@ def contract_pendant_arcs(digraph, pendant_arcs):
         if x in touched or y in touched:
             raise ValueError("pendant arcs must form a matching")
         touched.update((x, y))
-    current = digraph
-    for arc in sorted(pendant_arcs):
-        current = contract_arc_directed(current, arc)
-    return current
+    return contract_arcs(digraph, sorted(pendant_arcs))
 
 
 def reduce_lob(digraph, root, k):

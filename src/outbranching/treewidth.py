@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import heapq
 
-from .digraph import UndirectedGraph
-
 # Largest component the exact held-subset program takes: its tables hold
 # one entry per vertex subset of a component.
 EXACT_LIMIT = 14

@@ -132,6 +132,19 @@ def test_budget_error():
         solve_kpath_ballcover(d, 3, 6, budget=10)
 
 
+def test_k_above_n_minus_one_is_no_before_the_budget():
+    # C(40, 5) = 658 008 subsets exceed the default budget, but no path
+    # on 40 vertices has 40 arcs
+    d = generate(GeneratorSpec("random-sparse", n=40, m=60, seed=0, p2=0.5))
+    res = solve_kpath_ballcover(d, 40, 5)
+    assert (res.satisfiable, res.witness) == (False, None)
+    assert res.stats == {"radius": 8, "subsets": 0, "dp_runs": 0,
+                         "cache_hits": 0, "skipped_small": 0,
+                         "whole_graph": False, "hit_subset": None}
+    with pytest.raises(BudgetError):
+        solve_kpath_ballcover(d, 39, 5)
+
+
 def test_full_subset_equals_whole_graph_dp():
     for d in random_corpus(25, seed=401, n_lo=3, n_hi=6, density=1.8):
         n = d.n
@@ -205,9 +218,10 @@ def test_stats_reporting():
     res = solve_kpath_ballcover(cycle9, 4, 2)
     assert res.satisfiable and not res.stats["whole_graph"]
     assert res.stats["hit_subset"] == (0, 1)
+    # no path on 5 vertices has 5 arcs: "no" before any subset is walked
     no = solve_kpath_ballcover(cycle, 5, 5)
     assert not no.satisfiable
-    assert no.stats["subsets"] == 1
+    assert no.stats["subsets"] == 0
 
 
 def test_no_call_accounts_for_every_subset():

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from outbranching import (OutTree, analysis, cli, leaf_pipeline, parse_instance,
-                          treedp, validate_out_tree)
+from outbranching import (OutTree, analysis, ballcover, cli, leaf_pipeline,
+                          parse_instance, treedp, validate_out_tree)
 
 
 def run(capsys, *argv):
@@ -87,13 +87,14 @@ def test_solve_iob_and_kpath(capsys, tmp_path):
     assert code == 0 and payload["answer"] is True
     assert payload["path"] == [0, 1, 2, 3]
     assert payload["stats"]["whole_graph"] is False
+    assert payload["stats"]["hit_subset"] == [0, 1]
     # at k=2, b=1 the first ball, around 0, misses only vertex 3
     code, out, _ = run(capsys, "solve-kpath", "--input", path, "--k", "2",
                        "--b", "1")
     payload = json.loads(out)
     assert code == 0 and payload["answer"] is True
     assert payload["stats"]["whole_graph"] is True
-    assert "hit_subset" not in payload["stats"]
+    assert payload["stats"]["hit_subset"] is None
     code, out, _ = run(capsys, "solve-kpath", "--input", path, "--k", "4",
                        "--b", "1")
     assert json.loads(out)["answer"] is False
@@ -156,6 +157,19 @@ def test_dp_invariant_exit_five(capsys, tmp_path, monkeypatch, argv, text):
                         lambda arcs, mask: collect(arcs, mask)[1:])
     path = write_instance(tmp_path, text)
     code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", [[0, 1], [0, 1, 0]])
+def test_kpath_witness_fault_exit_five(capsys, tmp_path, monkeypatch, path):
+    # one arc short of k, or a vertex repeated: each made of digraph arcs
+    monkeypatch.setattr(ballcover, "dp_longest_path",
+                        lambda d, target=None: (2, path))
+    instance = write_instance(tmp_path, "3 3\n0 1\n1 0\n1 2\n")
+    code, out, err = run(capsys, "solve-kpath", "--input", instance,
+                         "--k", "2", "--b", "1")
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal:") and err.count("\n") == 1

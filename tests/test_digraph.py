@@ -110,9 +110,6 @@ def test_out_tree_counts():
     assert t.leaves() == {2, 3}
     assert t.internal_vertices() == {0, 1}
     assert t.vertex_set == {0, 1, 2, 3} and t.size == 4
-    assert (t.children(0), t.children(1), t.children(3)) == ({1, 2}, {3}, frozenset())
-    with pytest.raises(KeyError):
-        t.children(4)
     same = OutTree(0, {3: 1, 2: 0, 1: 0})
     assert t == same and hash(t) == hash(same)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from outbranching import Digraph, underlying_graph
+from outbranching import underlying_graph
 from outbranching.generators import GeneratorSpec, generate, grid_spec
 
 
@@ -60,9 +60,3 @@ def test_spec_validation():
         GeneratorSpec("random-sparse", n=4, m=7)
     with pytest.raises(ValueError):
         GeneratorSpec("random-sparse", n=None, m=2)
-
-
-def test_as_dict_round_trip():
-    spec = GeneratorSpec("random-sparse", n=6, m=7, seed=11, p2=0.3)
-    clone = GeneratorSpec(**spec.as_dict())
-    assert generate(clone).arcs == generate(spec).arcs

@@ -348,6 +348,57 @@ def test_pendant_contraction_reaches_rooted_2connected():
     assert checked >= 40
 
 
+def test_pendant_contraction_equals_the_one_arc_fold():
+    rng = random.Random(233)
+    checked = 0
+    for d in random_corpus(150, seed=233, n_lo=4, n_hi=9, density=2.0):
+        matching, touched = set(), set()
+        for u, v in rng.sample(sorted(d.arcs), d.m):
+            if u not in touched and v not in touched and rng.random() < 0.7:
+                matching.add((u, v))
+                touched.update((u, v))
+        fold = d
+        for arc in sorted(matching):
+            fold = contract_arc_directed(fold, arc)
+        got = contract_pendant_arcs(d, matching)
+        assert (got.vertices, got.arcs) == (fold.vertices, fold.arcs)
+        # the maps, built in place, agree with a graph built from the arcs
+        fresh = Digraph(fold.vertices, fold.arcs)
+        for v in fresh.vertices:
+            assert got.out_neighbors(v) == fresh.out_neighbors(v)
+            assert got.in_neighbors(v) == fresh.in_neighbors(v)
+        checked += len(matching) >= 2
+    assert checked >= 100
+
+
+def comb(h):
+    """Root 0 points to hubs 1..h, the hubs form a directed cycle, and hub
+    i has the pendant leaf h + i, so the squeeze contracts h arcs."""
+    hubs = range(1, h + 1)
+    return Digraph.of(2 * h + 1, [(0, i) for i in hubs]
+                      + [(i, h + i) for i in hubs]
+                      + [(i, i % h + 1) for i in hubs])
+
+
+def test_the_squeeze_copies_the_neighbour_maps_once(monkeypatch):
+    # every contracted graph is built from fresh copies of both maps
+    copied = []
+    build = Digraph._from_parts.__func__
+
+    def counting(cls, vertices, arcs, succ, pred):
+        copied.append(len(succ) + len(pred))
+        return build(cls, vertices, arcs, succ, pred)
+
+    monkeypatch.setattr(Digraph, "_from_parts", classmethod(counting))
+    totals = []
+    for h in (100, 400):
+        copied.clear()
+        assert reduce_lob(comb(h), 0, 3).report.contractions == 0
+        totals.append(sum(copied))
+    # one copy grows 4x from h to 4h; one copy per arc would grow 16x
+    assert 0 < totals[1] < 8 * totals[0], totals
+
+
 def test_reduced_outcome_invariants_on_bidirected_cycles():
     for n in range(4, 9):
         d = bidirected_cycle(n)

@@ -274,3 +274,15 @@ def test_kpath_yes_guard_raises(monkeypatch):
                         lambda d, target=None: (2, [0, 2, 1]))
     with pytest.raises(DPInvariantError, match=r"\(0, 2\), not an arc"):
         solve_kpath_ballcover(Digraph.of(3, [(0, 1), (1, 2)]), 2, 1)
+
+
+# each path below is made of digraph arcs
+@pytest.mark.parametrize("path, message", [
+    ([0, 1], "has 1 arcs, fewer than 2"),
+    ([0, 1, 0], "repeats a vertex"),
+])
+def test_kpath_yes_guard_checks_length_and_repeats(monkeypatch, path, message):
+    monkeypatch.setattr(ballcover, "dp_longest_path",
+                        lambda d, target=None: (2, path))
+    with pytest.raises(DPInvariantError, match=message):
+        solve_kpath_ballcover(Digraph.of(3, [(0, 1), (1, 0), (1, 2)]), 2, 1)
