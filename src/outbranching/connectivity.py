@@ -53,57 +53,70 @@ def reachable(digraph, root):
 
 def _idoms(digraph, root, spanning=False):
     """{v: immediate dominator of v} over the vertices the root reaches,
-    with the root mapped to itself. Cooper, Harvey and Kennedy, "A Simple,
-    Fast Dominance Algorithm" (2001): a fixpoint over reverse postorder.
-    Vertices are numbered by DFS postorder, so the fixpoint runs on int
-    lists: each vertex's reached in-neighbors and one idom array, in
-    which every dominator has a higher number than the vertices it
-    dominates. With ``spanning``, raise ValueError unless the root
-    reaches everything."""
-    post, num = [], {}  # num doubles as the seen set until v is finished
+    with the root mapped to itself. Semi-NCA (Georgiadis, Tarjan and
+    Werneck, "Finding dominators in practice", 2006), on vertices numbered
+    in DFS preorder: one DFS, one pass in reverse preorder that finds
+    each vertex's semidominator with path compression over the vertices
+    already passed, and one pass in preorder that sets each idom to the
+    nearest common ancestor, in the tree built so far, of the vertex's
+    DFS parent and its semidominator. With ``spanning``, raise ValueError
+    unless the root reaches everything."""
+    order, num, parent = [], {}, []
     if root in digraph.vertices:
-        stack = [(root, iter(digraph.out_neighbors(root)))]
-        num[root] = None
+        num[root] = 0
+        order.append(root)
+        parent.append(0)
+        stack = [(0, iter(digraph.out_neighbors(root)))]
         while stack:
-            v, rest = stack[-1]
+            i, rest = stack[-1]
             for w in rest:
                 if w not in num:
-                    num[w] = None
-                    stack.append((w, iter(digraph.out_neighbors(w))))
+                    num[w] = len(order)
+                    stack.append((len(order), iter(digraph.out_neighbors(w))))
+                    order.append(w)
+                    parent.append(i)
                     break
             else:
                 stack.pop()
-                num[v] = len(post)
-                post.append(v)
     if spanning and len(num) < digraph.n:
         miss = sorted(digraph.vertices - num.keys())
         raise ValueError(f"vertices unreachable from root {root}: {miss}")
-    preds = [[num[p] for p in digraph.in_neighbors(v) if p in num]
-             for v in post]
-    top = len(post) - 1
-    idom = [None] * len(post)
-    if post:
-        idom[top] = top
-    changed = True
-    while changed:
-        changed = False
-        for v in range(top - 1, -1, -1):  # reverse postorder, root dropped
-            new = None
-            for p in preds[v]:
-                if idom[p] is None:
-                    continue
-                if new is None:
-                    new = p
-                    continue
-                while p != new:  # nearest common dominator
-                    while p < new:
-                        p = idom[p]
-                    while new < p:
-                        new = idom[new]
-            if idom[v] != new:
-                idom[v] = new
-                changed = True
-    return {post[v]: post[idom[v]] for v in range(top, -1, -1)}
+    n = len(order)
+    semi = list(range(n))
+    # a passed vertex hangs below its DFS parent in `anc` (-1 until
+    # then), and label[v] is the least semidominator on v's path up to
+    # the first vertex not yet passed, which the compression shortcuts
+    label = list(range(n))
+    anc = [-1] * n
+    for w in range(n - 1, 0, -1):
+        s = w
+        for p in digraph.in_neighbors(order[w]):
+            v = num.get(p)
+            if v is None:
+                continue
+            if anc[v] >= 0:
+                u, path = v, []
+                while anc[anc[u]] >= 0:
+                    path.append(u)
+                    u = anc[u]
+                while path:  # compress, the topmost vertex first
+                    u = path.pop()
+                    a = anc[u]
+                    if label[a] < label[u]:
+                        label[u] = label[a]
+                    anc[u] = anc[a]
+                v = label[v]
+            if v < s:
+                s = v
+        semi[w] = label[w] = s
+        anc[w] = parent[w]
+    idom = [0] * n
+    for w in range(1, n):
+        x = parent[w]
+        while x > semi[w]:
+            x = idom[x]
+        idom[w] = x
+    return {order[w]: order[idom[w]] for w in range(n)}
 
 
 def _contract_tree(idom, arc):

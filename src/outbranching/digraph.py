@@ -16,8 +16,10 @@ Representation decisions that the rest of the package relies on:
   witness back record each contracted arc, with what they need of the
   graph before it, and replay them.
 * All types are immutable after construction; derived graphs are new
-  objects. A contracted graph shares with its input every neighbor set
-  the contraction leaves alone, which is safe because none is mutated.
+  objects, built from their input's neighbor maps without checking the
+  input again. A contracted graph, or one with arcs removed, shares with
+  its input every neighbor set the change leaves alone, which is safe
+  because none is mutated.
 """
 
 from __future__ import annotations
@@ -88,18 +90,29 @@ class Digraph:
         return (u, v) in self.arcs
 
     def induced(self, keep):
-        """Subgraph induced by the vertex set ``keep``."""
+        """Subgraph induced by the vertex set ``keep``, read off this
+        graph's neighbor maps at O(deg v) per kept vertex v."""
         keep = frozenset(keep)
         if not keep <= self.vertices:
             raise ValueError("induced() got vertices outside the graph")
-        arcs = {(u, v) for (u, v) in self.arcs if u in keep and v in keep}
-        return Digraph(keep, arcs)
+        succ = {v: self._succ[v] & keep for v in keep}
+        pred = {v: self._pred[v] & keep for v in keep}
+        arcs = frozenset((u, v) for u in keep for v in succ[u])
+        return Digraph._from_parts(keep, arcs, succ, pred)
 
     def without_vertices(self, drop):
         return self.induced(self.vertices - frozenset(drop))
 
     def without_arcs(self, drop):
-        return Digraph(self.vertices, self.arcs - frozenset(drop))
+        """This graph minus the arcs in ``drop``; arcs it lacks are
+        ignored. Only the endpoints of dropped arcs get new neighbor sets."""
+        drop = self.arcs & frozenset(drop)
+        succ, pred = dict(self._succ), dict(self._pred)
+        for u in {u for u, _ in drop}:
+            succ[u] = frozenset(v for v in succ[u] if (u, v) not in drop)
+        for v in {v for _, v in drop}:
+            pred[v] = frozenset(u for u in pred[v] if (u, v) not in drop)
+        return Digraph._from_parts(self.vertices, self.arcs - drop, succ, pred)
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
@@ -135,6 +148,15 @@ class UndirectedGraph:
         self._adj = {v: frozenset(s) for v, s in adj.items()}
 
     @classmethod
+    def _from_parts(cls, vertices, edges, adj):
+        """A graph from parts already known to agree: the vertex and
+        canonical edge frozensets and the {v: frozenset} adjacency map.
+        Nothing is checked or copied."""
+        graph = cls.__new__(cls)
+        graph.vertices, graph.edges, graph._adj = vertices, edges, adj
+        return graph
+
+    @classmethod
     def of(cls, n, edges):
         return cls(range(n), edges)
 
@@ -153,8 +175,9 @@ class UndirectedGraph:
         keep = frozenset(keep)
         if not keep <= self.vertices:
             raise ValueError("induced() got vertices outside the graph")
-        edges = {(u, v) for (u, v) in self.edges if u in keep and v in keep}
-        return UndirectedGraph(keep, edges)
+        adj = {v: self._adj[v] & keep for v in keep}
+        edges = frozenset((u, v) for u in keep for v in adj[u] if u < v)
+        return UndirectedGraph._from_parts(keep, edges, adj)
 
     def components(self):
         """Connected components as a sorted list of frozensets."""
@@ -181,8 +204,9 @@ class UndirectedGraph:
 
 def underlying_graph(digraph):
     """Forget orientation: one edge per arc pair, 2-cycles collapse."""
-    return UndirectedGraph(digraph.vertices,
-                           {(u, v) for (u, v) in digraph.arcs})
+    adj = {v: digraph._succ[v] | digraph._pred[v] for v in digraph.vertices}
+    edges = frozenset((u, v) if u < v else (v, u) for u, v in digraph.arcs)
+    return UndirectedGraph._from_parts(digraph.vertices, edges, adj)
 
 
 def contract_arc_directed(digraph, arc):

@@ -126,10 +126,13 @@ def duplicate_multi_cut(digraph, multi_cut):
 
     The copy inherits all in-arcs and out-arcs of the original from and to
     real vertices; copies are never adjacent to each other or to their
-    original.  Returns the new digraph.  Copies get ids above every
-    existing one, in the sorted order of their originals.
+    original.  Returns the new digraph, or the input itself when there
+    is nothing to copy.  Copies get ids above every existing one, in the
+    sorted order of their originals.
     """
 
+    if not multi_cut:
+        return digraph
     base = max(digraph.vertices, default=-1) + 1
     copies = range(base, base + len(multi_cut))
     arcs = set(digraph.arcs)

@@ -10,14 +10,14 @@ graphs of any size.  It keeps every vertex's fill count current as
 vertices go and fill edges come, instead of re-scoring all remaining
 vertices after each elimination, and picks the least count from a heap,
 ties still toward the lowest id; the bags are the neighbourhoods that
-pass records, so the graph is eliminated once.  When only a narrow
+pass yields, so the graph is eliminated once.  When only a narrow
 decomposition is of use, `greedy_decomposition_within` stops that pass at
 the first bag wider than a limit and returns None; `treewidth_upper_bound`
-reads a width from the recorded neighbourhoods without building the
-decomposition.  `exact_treewidth_small` runs a held-subset dynamic
-program over bitmasks and is only usable for small graphs; it exists so
-tests and analyses can certify optimal widths on instances where that is
-feasible.
+reads a width from the neighbourhoods without building the
+decomposition, and stops once the vertices left cannot widen it.
+`exact_treewidth_small` runs a held-subset dynamic program over bitmasks
+and is only usable for small graphs; it exists so tests and analyses can
+certify optimal widths on instances where that is feasible.
 
 `make_nice` rewrites any decomposition into the rooted binary "nice" form
 (leaf / introduce / forget / join) that the dynamic programs consume, as
@@ -125,12 +125,12 @@ def _fill(adj, v):
     return (d * (d - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
 
 
-def _greedy_order(graph, limit=None):
-    """Min-fill elimination order, ties toward the lowest id, and the
-    neighbourhood each vertex had when it was eliminated, as two lists.
-    With a limit it returns None instead, as soon as it meets a
-    neighbourhood of more than `limit` vertices: the width is the size of
-    the largest one, so that happens exactly when the width exceeds it.
+def _greedy_order(graph):
+    """Min-fill elimination, ties toward the lowest id, as a generator of
+    (vertex, neighbourhood) pairs: each vertex with the neighbours it had
+    when it was eliminated.  The width is the size of the largest
+    neighbourhood, and a consumer that has learnt what it needs stops
+    drawing pairs, which stops the elimination.
 
     `fill[v]` counts the non-adjacent pairs among v's neighbours and is
     kept current through the two changes an elimination makes.  Removing
@@ -147,17 +147,13 @@ def _greedy_order(graph, limit=None):
     fill = {v: _fill(adj, v) for v in adj}
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
-    order, neighbourhoods = [], []
     while heap:
         f, v = heapq.heappop(heap)
         if fill.get(v) != f:
             continue
         nb = adj.pop(v)
-        if limit is not None and len(nb) > limit:
-            return None
-        order.append(v)
         del fill[v]
-        neighbourhoods.append(nb)
+        yield v, nb
         before = {}
         for a in nb:
             na = adj[a]
@@ -181,25 +177,25 @@ def _greedy_order(graph, limit=None):
         for w, old in before.items():
             if fill[w] != old:
                 heapq.heappush(heap, (fill[w], w))
-    return order, neighbourhoods
 
 
-def _decomposition(order, neighbourhoods):
-    """The decomposition of an elimination: bag i is the i-th eliminated
-    vertex with its neighbourhood at that time, and node i hangs below the
-    node of the earliest-eliminated later member of its bag (the next node
-    if it has none), which keeps every vertex's occurrences connected."""
+def _decomposition(eliminated):
+    """The decomposition of an elimination, given as (vertex,
+    neighbourhood) pairs in order: bag i is the i-th eliminated vertex
+    with its neighbourhood at that time, and node i hangs below the node
+    of the earliest-eliminated later member of its bag (the next node if
+    it has none), which keeps every vertex's occurrences connected."""
 
-    if not order:
+    if not eliminated:
         return TreeDecomposition({0: frozenset()}, [])
-    pos = {v: i for i, v in enumerate(order)}
+    pos = {v: i for i, (v, _) in enumerate(eliminated)}
     bags = {}
     edges = []
-    for i, (v, nb) in enumerate(zip(order, neighbourhoods)):
+    for i, (v, nb) in enumerate(eliminated):
         bags[i] = nb | {v}
         if nb:
             edges.append((i, min(pos[u] for u in nb)))
-        elif i + 1 < len(order):
+        elif i + 1 < len(eliminated):
             edges.append((i, i + 1))
     return TreeDecomposition(bags, edges)
 
@@ -214,7 +210,7 @@ def decomposition_from_ordering(graph, order):
         raise ValueError("an elimination order must list each vertex of the "
                          "graph exactly once")
     adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
-    return _decomposition(order, [_eliminate(adj, v) for v in order])
+    return _decomposition([(v, _eliminate(adj, v)) for v in order])
 
 
 def greedy_decomposition(graph):
@@ -230,7 +226,7 @@ def greedy_decomposition(graph):
     eliminated once.  Works on disconnected graphs.
     """
 
-    return _decomposition(*_greedy_order(graph))
+    return _decomposition(list(_greedy_order(graph)))
 
 
 def greedy_decomposition_within(graph, limit):
@@ -238,8 +234,12 @@ def greedy_decomposition_within(graph, limit):
     None.  The elimination stops at the first bag wider than the limit,
     so a wide graph costs only the part eliminated before it."""
 
-    elimination = _greedy_order(graph, limit)
-    return None if elimination is None else _decomposition(*elimination)
+    eliminated = []
+    for v, nb in _greedy_order(graph):
+        if len(nb) > limit:
+            return None
+        eliminated.append((v, nb))
+    return _decomposition(eliminated)
 
 
 def _component_masks(graph, comp):
@@ -338,16 +338,28 @@ def exact_treewidth_small(graph):
 def treewidth_upper_bound(graph):
     """Per-component width bound: exact when the component has at most
     `EXACT_LIMIT` vertices, min-fill otherwise.  Returns -1 for the empty
-    graph."""
+    graph.
+
+    Only the largest bound counts.  A neighbourhood holds only vertices
+    not yet eliminated, so once the vertices left, minus one, are no more
+    than the width found so far, nothing later can raise it: a component
+    that small is skipped, and a min-fill elimination stops there."""
 
     best = -1
-    for comp in graph.components():
+    comps = graph.components()
+    for comp in comps:
+        if len(comp) - 1 <= best:
+            continue
         if len(comp) <= EXACT_LIMIT:
-            width = _exact_order_component(graph, comp)[1]
-        else:
-            # the largest recorded neighbourhood is the min-fill width
-            width = max(map(len, _greedy_order(graph.induced(comp))[1]))
-        best = max(best, width)
+            best = max(best, _exact_order_component(graph, comp)[1])
+            continue
+        left = len(comp)
+        sub = graph if len(comps) == 1 else graph.induced(comp)
+        for _, nb in _greedy_order(sub):
+            best = max(best, len(nb))
+            left -= 1
+            if left - 1 <= best:
+                break
     return best
 
 

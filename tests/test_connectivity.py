@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from outbranching import (
     Digraph,
@@ -170,6 +170,12 @@ def test_dominator_answers_match_sweeps_on_corpora():
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(labelled_digraphs())
+@example(grid_digraph(6, 6))
+# a directed path whose vertices all point back to the root: the DFS from
+# vertex 0 is 60 deep
+@example(Digraph.of(60, [(i, i + 1) for i in range(59)] + [(i, 0) for i in range(1, 60)]))
+# from 3 the root misses 41 and 57
+@example(Digraph([3, 8, 20, 41, 57], [(3, 8), (8, 20), (20, 3), (41, 20), (57, 41)]))
 def test_idoms_match_definition(d):
     for r in sorted(d.vertices):
         assert _idoms(d, r) == brute_idoms(d, r)

@@ -1,7 +1,7 @@
 import pytest
 import time
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from outbranching import (
     Digraph,
@@ -240,3 +240,55 @@ def test_contraction_matches_a_fresh_digraph(d):
             got.in_neighbors(v)
     assert d.arcs == arcs
     assert {v: (d.out_neighbors(v), d.in_neighbors(v)) for v in d.vertices} == before
+
+
+def assert_same_digraph(got, fresh, host):
+    """`got` has `fresh`'s vertices and arcs, and the same frozen neighbour
+    sets; a vertex of `host` that `got` lacks has none."""
+    assert got.vertices == fresh.vertices and got.arcs == fresh.arcs
+    for w in host.vertices:
+        if w not in fresh.vertices:
+            with pytest.raises(KeyError):
+                got.out_neighbors(w)
+            with pytest.raises(KeyError):
+                got.in_neighbors(w)
+            continue
+        for have, want in ((got.out_neighbors(w), fresh.out_neighbors(w)),
+                           (got.in_neighbors(w), fresh.in_neighbors(w))):
+            assert isinstance(have, frozenset) and have == want
+
+
+def assert_same_graph(got, fresh):
+    assert got.vertices == fresh.vertices and got.edges == fresh.edges
+    for w in fresh.vertices:
+        assert isinstance(got.neighbors(w), frozenset)
+        assert got.neighbors(w) == fresh.neighbors(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_digraphs(), st.data())
+def test_derived_graphs_match_the_validating_constructors(d, data):
+    # induced, without_vertices, without_arcs, underlying_graph and
+    # UndirectedGraph.induced build on the input's neighbour maps without
+    # re-checking; each must equal the graph built from scratch
+    ids = sorted(d.vertices)
+    before = {v: (d.out_neighbors(v), d.in_neighbors(v)) for v in ids}
+    keep = data.draw(st.frozensets(st.sampled_from(ids)), label="keep")
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    drop = data.draw(st.frozensets(st.sampled_from(pairs)) if pairs
+                     else st.just(frozenset()), label="drop")
+    inside = {(u, v) for u, v in d.arcs if u in keep and v in keep}
+    assert_same_digraph(d.induced(keep), Digraph(keep, inside), d)
+    outside = {(u, v) for u, v in d.arcs if u not in keep and v not in keep}
+    assert_same_digraph(d.without_vertices(keep),
+                        Digraph(d.vertices - keep, outside), d)
+    assert_same_digraph(d.without_arcs(drop),
+                        Digraph(d.vertices, d.arcs - drop), d)
+    g = underlying_graph(d)
+    assert_same_graph(g, UndirectedGraph(d.vertices, d.arcs))
+    assert_same_graph(g.induced(keep), UndirectedGraph(keep, inside))
+    assert {v: (d.out_neighbors(v), d.in_neighbors(v)) for v in ids} == before
+    with pytest.raises(ValueError, match="outside the graph"):
+        d.induced(keep | {100})
+    with pytest.raises(ValueError, match="outside the graph"):
+        g.induced(keep | {100})

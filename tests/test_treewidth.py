@@ -131,7 +131,7 @@ def labelled_graphs(draw):
 @example(UndirectedGraph([5, 9, 2, 40, 41], [(5, 9), (9, 2), (2, 5), (40, 41)]))
 def test_min_fill_order_matches_full_rescan(g):
     order = brute_min_fill_order(g)
-    assert _greedy_order(g)[0] == order
+    assert [v for v, _ in _greedy_order(g)] == order
     assert (decomposition_record(greedy_decomposition(g))
             == decomposition_record(decomposition_from_ordering(g, order)))
 
@@ -142,19 +142,28 @@ def test_min_fill_order_matches_full_rescan(g):
 @example(UndirectedGraph([7, 3, 12], []))
 @example(path_graph(16))
 @example(UndirectedGraph(range(16), [(i, j) for i in range(16) for j in (i + 1, i + 5) if j < 16]))
+@example(UndirectedGraph(range(18), [(i, j) for i in range(8) for j in range(i + 1, 8)]
+                         + [(i, i + 1) for i in range(7, 17)]))
+@example(grid_graph(8, 8))
 def test_a_limited_elimination_stops_exactly_past_the_width(g):
+    full = list(_greedy_order(g))
+    width = max((len(nb) for _, nb in full), default=-1)
+    assert width == greedy_decomposition(g).width
     # every limit from -1 (no vertex fits) to n (every vertex fits)
-    width = greedy_decomposition(g).width
-    full = _greedy_order(g)
     for limit in range(-1, len(g.vertices) + 1):
-        stopped = _greedy_order(g, limit)
-        assert (stopped is None) == (width > limit), limit
-        if stopped is not None:
-            assert stopped == full
+        first_past = next((i for i, (_, nb) in enumerate(full) if len(nb) > limit), None)
+        assert (first_past is not None) == (width > limit), limit
         td = greedy_decomposition_within(g, limit)
         assert (td is None) == (width > limit)
         if td is not None:
             assert decomposition_record(td) == decomposition_record(greedy_decomposition(g))
+    # once the vertices left, minus one, are no more than the width so
+    # far, no later neighbourhood is wider
+    so_far = -1
+    for i, (_, nb) in enumerate(full):
+        so_far = max(so_far, len(nb))
+        if len(full) - i - 2 <= so_far:
+            assert so_far == width, i
     assert treewidth_upper_bound(g) == component_width_bound(g)
 
 
