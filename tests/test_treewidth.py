@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from outbranching import GeneratorSpec, UndirectedGraph, generate, underlying_graph
+from outbranching import GeneratorSpec, UndirectedGraph, generate, treewidth, underlying_graph
 from outbranching.treewidth import (
+    EXACT_LIMIT,
     FORGET,
     INTRODUCE,
     JOIN,
@@ -136,6 +138,20 @@ def test_min_fill_order_matches_full_rescan(g):
             == decomposition_record(decomposition_from_ordering(g, order)))
 
 
+def drawing(fn, *args):
+    """fn(*args), and how many pairs it drew from the min-fill generator."""
+    drawn = 0
+
+    def counting(graph):
+        nonlocal drawn
+        for pair in _greedy_order(graph):
+            drawn += 1
+            yield pair
+
+    with mock.patch.object(treewidth, "_greedy_order", counting):
+        return fn(*args), drawn
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(labelled_graphs())
 @example(UndirectedGraph([], []))
@@ -152,19 +168,25 @@ def test_a_limited_elimination_stops_exactly_past_the_width(g):
     # every limit from -1 (no vertex fits) to n (every vertex fits)
     for limit in range(-1, len(g.vertices) + 1):
         first_past = next((i for i, (_, nb) in enumerate(full) if len(nb) > limit), None)
-        assert (first_past is not None) == (width > limit), limit
-        td = greedy_decomposition_within(g, limit)
-        assert (td is None) == (width > limit)
+        td, drawn = drawing(greedy_decomposition_within, g, limit)
+        assert (td is None) == (width > limit), limit
+        # the elimination stops at the first bag past the limit
+        assert drawn == (len(full) if first_past is None else first_past + 1), limit
         if td is not None:
             assert decomposition_record(td) == decomposition_record(greedy_decomposition(g))
     # once the vertices left, minus one, are no more than the width so
     # far, no later neighbourhood is wider
-    so_far = -1
+    so_far, settled = -1, None
     for i, (_, nb) in enumerate(full):
         so_far = max(so_far, len(nb))
         if len(full) - i - 2 <= so_far:
             assert so_far == width, i
-    assert treewidth_upper_bound(g) == component_width_bound(g)
+            settled = i if settled is None else settled
+    bound, drawn = drawing(treewidth_upper_bound, g)
+    assert bound == component_width_bound(g)
+    if len(full) > EXACT_LIMIT and len(g.components()) == 1:
+        # one min-fill component: the bound stops right there
+        assert drawn == settled + 1
 
 
 def contracted(g, rng, p):
