@@ -284,60 +284,69 @@ def bfs_layers(graph, root):
 class OutTree:
     """A rooted tree whose arcs point away from the root.
 
-    Stored as a parent map {child: parent} and nothing else: the root has
-    no entry, and the vertex set, leaves and internal vertices are read
-    off the map when asked for. A single-vertex tree is the root
-    alone, and that root counts as a leaf (out-degree zero).
+    Stored as two aligned tuples and nothing else: the children in
+    ascending order and the parent of each. The root is not a child, and
+    the parent map, vertex set, leaves and internal vertices are read off
+    the tuples when asked for. A single-vertex tree is the root alone,
+    and that root counts as a leaf (out-degree zero).
     """
 
-    __slots__ = ("root", "parents")
+    __slots__ = ("root", "_children", "_parents")
 
     def __init__(self, root, parents):
-        self.root = root
-        self.parents = dict(parents)
-        if root in self.parents:
+        parents = dict(parents)
+        if root in parents:
             raise ValueError("root cannot have a parent")
-        for c, p in self.parents.items():
+        for c, p in parents.items():
             if c == p:
                 raise ValueError(f"vertex {c} is its own parent")
         # every vertex must reach the root through parents, which also
         # rules out cycles and puts every parent in the tree; a walk stops
         # at a vertex an earlier walk proved, so each vertex is walked once
         proved = {root}
-        for c in self.parents:
+        for c in parents:
             seen = set()
             x = c
             while x not in proved:
                 seen.add(x)
-                x = self.parents.get(x)
+                x = parents.get(x)
                 if x is None or x in seen:
                     raise ValueError(f"vertex {c} does not reach the root")
             proved |= seen
+        self.root = root
+        self._children = tuple(sorted(parents))
+        self._parents = tuple(map(parents.__getitem__, self._children))
+
+    @property
+    def parents(self):
+        """A fresh {child: parent} dict; the root has no entry."""
+        return dict(zip(self._children, self._parents))
 
     @property
     def vertex_set(self):
-        return frozenset(self.parents).union((self.root,))
+        return frozenset(self._children).union((self.root,))
 
     @property
     def size(self):
-        return len(self.parents) + 1
+        return len(self._children) + 1
 
     def arcs(self):
-        return frozenset((p, c) for c, p in self.parents.items())
+        return frozenset(zip(self._parents, self._children))
 
     def leaves(self):
-        return self.vertex_set.difference(self.parents.values())
+        return self.vertex_set.difference(self._parents)
 
     def internal_vertices(self):
-        return frozenset(self.parents.values())
+        return frozenset(self._parents)
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
             return NotImplemented
-        return self.root == other.root and self.parents == other.parents
+        return (self.root == other.root and self._children == other._children
+                and self._parents == other._parents)
 
     def __hash__(self):
-        return hash((self.root, frozenset(self.parents.items())))
+        return hash((self.root, self._children, self._parents))
 
     def __repr__(self):
         return (f"OutTree(root={self.root}, size={self.size}, "
@@ -382,7 +391,7 @@ def grow_breadth_first(digraph, tree):
     is kept.  Raises ValueError when some vertex is unreachable from the
     tree; the grown tree is validated as a spanning witness.
     """
-    parents = dict(tree.parents)
+    parents = tree.parents
     covered = set(tree.vertex_set)
     frontier = sorted(covered)
     while frontier:

@@ -26,8 +26,8 @@ from the values each stage computed, says "disconnected" when the root
 misses a vertex (no), "guaranteed" when a count fired (yes, with the
 count named as the reason) or "reduced".  The actual yes/no for the
 reduced case is decided by the spanning branching dynamic program on the
-contracted graph.  solve_lob expands every yes's tree back to the input
-digraph and validates it in one place.
+contracted graph, with its leaf count capped at k.  solve_lob expands
+every yes's tree back to the input digraph and validates it in one place.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def expand_through_steps(tree, steps):
     is not validated here: solve_lob checks it against the input once.
     """
 
-    root, parents = tree.root, dict(tree.parents)
+    root, parents = tree.root, tree.parents
     for (x, y), out_y in reversed(steps):
         if y == root or y in parents or (x != root and x not in parents):
             raise DPInvariantError(f"step ({x}, {y}) does not match the tree")
@@ -250,7 +250,8 @@ def expand_through_steps(tree, steps):
 
 
 def _dp_witness(outcome):
-    """Solve the reduced graph exactly; used when a witness is wanted.
+    """Solve the reduced graph with the leaf DP capped at k; used when a
+    witness is wanted.
 
     Returns (None, None) when the min-fill width of the reduced graph is
     above WITNESS_WIDTH_LIMIT; the elimination stops at the first bag past
@@ -262,7 +263,8 @@ def _dp_witness(outcome):
     if td is None:
         return None, None
     nice = make_nice(td)
-    answer = dp_max_leaves(outcome.digraph, outcome.report.root, nice)
+    answer = dp_max_leaves(outcome.digraph, outcome.report.root, nice,
+                           target=outcome.report.k)
     if answer is None:
         raise DPInvariantError("a guaranteed instance is not fully reachable")
     return answer
@@ -308,7 +310,7 @@ def solve_lob(digraph, k, root=None, witness=True):
         # each yes picks a leaf count (k when guaranteed) and a tree
         count, tree = k, None
         if report.outcome == "reduced":
-            answer = dp_max_leaves(outcome.digraph, r)
+            answer = dp_max_leaves(outcome.digraph, r, target=k)
             if answer is None:
                 raise DPInvariantError("a reduced instance is not fully reachable")
             count, tree = answer

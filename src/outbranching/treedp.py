@@ -60,6 +60,20 @@ bound >= k, with the same values, so an optimum of at least k comes out
 unchanged, witness and all, and an optimum below k empties the final
 table.
 
+The max-leaves DP decides k the other way: it caps every score at k.
+Scores only add up, and min(a + b, k) = min(min(a, k) + b, k), so each
+capped score is the uncapped one cut at k, and the final table holds
+min(opt, k).  A vertex forgotten past the cap scores nothing more, so a
+child bit there decides nothing: each edge and join that leaves a state
+at the cap gives it child bits 0.  All the capped states of one (blocks,
+parent_bits, status, size) group are then one state, which dominates the
+rest of its group, and the tables shrink.  A forget only saturates the
+score, through a lookup that costs the other modes nothing, and a state
+it brings to the cap keeps its child bits until the next edge or join.
+The arcs stay exact, and a vertex counted as a leaf below the cap stays
+one, so the witness has at least as many leaves as the capped score.  A
+cap is no bound: it drops no state, it merges them.
+
 A table maps each state to a value (score, arcs), arcs with one bit per
 arc of the digraph.  Introduce passes the value on, forget adds to the
 score, an edge sets the bit of the arc it picks, and a join adds the two
@@ -277,14 +291,15 @@ class _TreeEngine:
     their (blocks, parent_bits, status, size) group dominates (see
     _prune).  A _dominated that drops nothing turns the rule off.
 
-    A target is the k of a decision run, for the non-spanning modes.
-    Every state whose bound is below it is dropped: by the join and the
-    forget, which _execute tells what a state needs.  On a path
-    (root=None) it also stops the walk at the first edge or join state
-    whose one fragment holds at least target arcs, and leaves that state
-    in hit.  The fragment owns every arc of the state: the score counts
-    the arcs with a forgotten tail and child_bits the rest, so the hit
-    state passes the bound.
+    A target is the k of a decision run.  A spanning run caps every
+    score at it (leaf_cap), and each edge or join that leaves a state at
+    the cap clears its child bits.  The other modes drop every state
+    whose bound is below it: the join and the forget do, and _execute
+    tells them what a state needs.  On a path (root=None) it also stops
+    the walk at the first edge or join state whose one fragment holds at
+    least target arcs, and leaves that state in hit.  The fragment owns
+    every arc of the state: the score counts the arcs with a forgotten
+    tail and child_bits the rest, so the hit state passes the bound.
     """
 
     def __init__(self, digraph, root, spanning, size_cap=None, target=None):
@@ -293,8 +308,15 @@ class _TreeEngine:
         self.spanning = spanning
         self.grow = 0 if size_cap is None else 1
         self.size_cap = sys.maxsize if size_cap is None else size_cap
-        self.target = target
+        self.capped = spanning and target is not None
+        # no score reaches n + 1, so an uncapped run never meets its cap
+        self.leaf_cap = target if self.capped else digraph.n + 1
+        self.target = None if self.capped else target
         self.hit = None
+        # next_score[s] = min(s + 1, leaf_cap): a forget scores through it,
+        # so the cap costs the other modes nothing there
+        top = min(self.leaf_cap, digraph.n + 1)
+        self.next_score = tuple(range(1, top + 1)) + (top,) * (digraph.n + 1 - top)
         self.arcs = sorted(digraph.arcs)
         self.bit = {arc: 1 << i for i, arc in enumerate(self.arcs)}
 
@@ -338,6 +360,7 @@ class _TreeEngine:
         # a forgotten solution vertex scores when it is a leaf (no child
         # arc) for max leaves, and when it is internal otherwise
         flip = 1 if self.spanning else 0
+        next_score = self.next_score
         table = {}
         for (blocks, pb, cb, rstat, size), value in tin.items():
             b = blocks[p]
@@ -346,7 +369,7 @@ class _TreeEngine:
                 if needs_parent and not pb >> p & 1:
                     continue
                 if (cb >> p & 1) ^ flip:
-                    value = value[0] + 1, value[1]
+                    value = next_score[value[0]], value[1]
                 if mapping is not None:
                     if rstat >= 0:
                         rstat = mapping[rstat]
@@ -369,6 +392,7 @@ class _TreeEngine:
         pu, pw = bag.index(u), bag.index(w)
         one_child = self.root is None
         target = self.target if one_child else None
+        top = self.leaf_cap
         # (arc bit, tail pos, head pos, head bit, tail bit, tail bit that blocks)
         cands = [(self.bit[x, y], px, py, 1 << py, 1 << px, one_child << px)
                  for x, y, px, py in ((u, w, pu, pw), (w, u, pw, pu))
@@ -382,7 +406,7 @@ class _TreeEngine:
                     continue
                 nb, mapping, one = _fuse(blocks, bx, by)
                 rs2 = mapping[bx if rstat == by else rstat] if rstat >= 0 else rstat
-                st = (nb, pb | ybit, cb | xbit, rs2, size)
+                st = (nb, pb | ybit, cb | xbit if score < top else 0, rs2, size)
                 _push(table, st, (score, arcs | abit))
                 if one and target is not None and score + st[2].bit_count() >= target:
                     self.hit = st
@@ -395,7 +419,7 @@ class _TreeEngine:
         BudgetError."""
 
         table = {}
-        cap, grow = self.size_cap, self.grow
+        cap, grow, top, capped = self.size_cap, self.grow, self.leaf_cap, self.capped
         target = self.target if self.root is None else None
         for n_in, (_, lr, lsize), litems, (_, rr, rsize), ritems, (blocks, lmap, rmap) in (
                 _group_pairs(tl, tr, self.root is None)):
@@ -419,6 +443,25 @@ class _TreeEngine:
                     if rstat >= 0 and rmap[rr] != rstat:
                         raise DPInvariantError("two root fragments met outside the bag")
                     rstat = rmap[rr]
+            if capped:
+                # max leaves under a leaf cap, where no need and no path
+                # stop apply: a pair whose scores reach the cap makes a
+                # state at the cap, with child bits 0.  The other modes
+                # keep the loop below free of the test.
+                for lx, lp, lc, lscore, larcs in litems:
+                    for rx, rp, rc, rscore, rarcs in ritems:
+                        if lx & rx:
+                            continue
+                        score = lscore + rscore
+                        if score < top:
+                            st = (blocks, lp | rp, lc | rc, rstat, size)
+                        else:
+                            score, st = top, (blocks, lp | rp, 0, rstat, size)
+                        old = table.get(st)
+                        if old is None or score > old[0] or (
+                                score == old[0] and larcs | rarcs > old[1]):
+                            table[st] = score, larcs | rarcs
+                continue
             # every merged state has n_in solution vertices in the bag, so
             # a pair reaches need when its scores add up to floor
             floor = need - n_in
@@ -557,8 +600,9 @@ def _best_tree(digraph, root, nice, spanning, size_cap=None, target=None):
     finished state with the largest (score, arcs) value, or None if there
     is neither.  root=None runs the path engine, whose tree is rooted at
     its one vertex without a parent.  The tree is validated, its leaf
-    count (spanning) or internal count must match the score, and under a
-    size cap its size must match the state's.
+    count (spanning) or internal count must match the score, or reach it
+    when it is the leaf cap, and under a size cap its size must match the
+    state's.
     """
 
     engine = _TreeEngine(digraph, root, spanning, size_cap, target)
@@ -580,7 +624,8 @@ def _best_tree(digraph, root, nice, spanning, size_cap=None, target=None):
     tree = witness_tree(digraph, root, parents, spanning)
     kind, got = (("leaves", tree.leaves()) if spanning
                  else ("internal vertices", tree.internal_vertices()))
-    if len(got) != score:
+    # a score at the leaf cap only says the tree has at least that many
+    if len(got) < score if score == engine.leaf_cap else len(got) != score:
         raise DPInvariantError(f"witness has {len(got)} {kind}, table says {score}")
     if size_cap is not None and tree.size != state[4]:
         raise DPInvariantError(f"witness has {tree.size} vertices, table says {state[4]}")
@@ -592,14 +637,20 @@ def _check_root(digraph, root):
         raise ValueError(f"root {root} not in digraph")
 
 
-def dp_max_leaves(digraph, root, nice=None):
+def dp_max_leaves(digraph, root, nice=None, target=None):
     """Maximum number of leaves over spanning out-branchings rooted at root.
 
     Returns (count, tree) or None when no spanning branching exists.
+    With a target k the DP caps every score at k and returns
+    (min(opt, k), tree) with a validated tree of at least that many
+    leaves.  The cap is exact because scores only add up, so a capped
+    score is the uncapped one cut at k; past the cap a child bit decides
+    nothing, so the DP clears it and merges every state at the cap with
+    the same fragments, parent bits and status.
     """
 
     _check_root(digraph, root)
-    return _best_tree(digraph, root, nice, spanning=True)
+    return _best_tree(digraph, root, nice, spanning=True, target=target)
 
 
 def dp_max_internal_outtree(digraph, root, nice=None, size_cap=None, target=None):

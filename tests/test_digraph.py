@@ -1,5 +1,6 @@
 import pytest
 import time
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +113,23 @@ def test_out_tree_counts():
     assert t.vertex_set == {0, 1, 2, 3} and t.size == 4
     same = OutTree(0, {3: 1, 2: 0, 1: 0})
     assert t == same and hash(t) == hash(same)
+
+
+def test_out_tree_holds_a_32_vertex_branching_in_under_800_bytes():
+    # benchmarks keep every witness they get: two tuples of 31 entries take
+    # 576 bytes, where the 31-entry parent dict alone took 1 168
+    parents = {v: (v - 1) // 2 for v in range(1, 32)}
+    tracemalloc.start()
+    try:
+        t = OutTree(0, parents)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 800, held
+    got = t.parents
+    assert got == parents
+    got[31] = 0
+    assert t.parents == parents
 
 
 def test_out_tree_rejects_cycles_and_orphans():

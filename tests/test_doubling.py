@@ -19,7 +19,9 @@ import pytest
 
 import outbranching
 from outbranching import Digraph, is_rooted_2connected, underlying_graph
-from outbranching.treewidth import treewidth_upper_bound
+from outbranching.connectivity import cut_profile
+from outbranching.digraph import parse_instance, serialize_instance
+from outbranching.treewidth import greedy_decomposition, make_nice, treewidth_upper_bound
 from helpers import grid_digraph
 
 PACKAGE = os.path.dirname(outbranching.__file__) + os.sep
@@ -79,6 +81,18 @@ def odd_half(d):
     return d.induced(v for v in d.vertices if v % 2)
 
 
+def profile(d):
+    return cut_profile(d, 0)
+
+
+def texts(family):
+    return tuple(map(serialize_instance, family))
+
+
+def min_fill_decompositions(family):
+    return tuple(greedy_decomposition(underlying_graph(d)) for d in family)
+
+
 # id: (the traced call, its inputs at n and 4n, built before tracing)
 CASES = {
     "is_rooted_2connected-grid": (two_connected, GRIDS),
@@ -89,12 +103,22 @@ CASES = {
     "underlying_graph-sparse": (underlying_graph, SPARSE),
     "treewidth_upper_bound-grid": (treewidth_upper_bound,
                                    tuple(map(underlying_graph, GRIDS))),
+    "parse_instance-grid": (parse_instance, texts(GRIDS)),
+    "parse_instance-sparse": (parse_instance, texts(SPARSE)),
+    "cut_profile-grid": (profile, GRIDS),
+    "cut_profile-sparse": (profile, SPARSE),
+    "make_nice-grid": (make_nice, min_fill_decompositions(GRIDS)),
+    "make_nice-sparse": (make_nice, min_fill_decompositions(SPARSE)),
 }
+
+
+def test_each_family_grows_from_n_to_4n():
+    for small, large in (GRIDS, SPARSE):
+        assert large.n == 4 * small.n
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_work_grows_less_than_10x_from_n_to_4n(case):
     call, (small, large) = CASES[case]
-    assert large.n == 4 * small.n
     counts = [line_events(call, g) for g in (small, large)]
     assert 0 < counts[0] and counts[1] < BOUND * counts[0], counts

@@ -253,7 +253,7 @@ def test_lob_multi_cut_guard_raises(monkeypatch):
 
 
 def test_lob_reachability_guards_raise(monkeypatch):
-    monkeypatch.setattr(leaf_pipeline, "dp_max_leaves", lambda *args: None)
+    monkeypatch.setattr(leaf_pipeline, "dp_max_leaves", lambda *args, **kwargs: None)
     with pytest.raises(DPInvariantError, match="a reduced instance is not fully reachable"):
         solve_lob(K4, 3, root=0)
     k7 = Digraph.of(7, [(u, v) for u in range(7) for v in range(7) if u != v])

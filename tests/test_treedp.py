@@ -39,7 +39,7 @@ from outbranching.treewidth import (
     exact_treewidth_small,
     make_nice,
 )
-from helpers import brute_max_internal_tree, grid_digraph, random_corpus
+from helpers import brute_max_internal_tree, grid_digraph, labelled_digraphs, random_corpus
 
 EDGE = "edge"
 
@@ -493,6 +493,51 @@ def test_a_target_keeps_the_unbounded_witness(case, capped):
     for target in range(1, opt + 1):
         assert dp_max_internal_outtree(d, root, nice, size_cap=cap, target=target) == (
             opt, tree), (d.arcs, root, cap, target)
+
+
+@st.composite
+def spanned_cases(draw):
+    """A labelled digraph on at most 8 vertices, a root and an elimination
+    order.  Three times in four the arcs of a random out-tree from the
+    root are added, so that the root spans."""
+    d = draw(labelled_digraphs(max_n=8))
+    tree_order = draw(st.permutations(sorted(d.vertices)))
+    arcs = set(d.arcs)
+    if draw(st.integers(0, 3)):
+        arcs |= {(tree_order[draw(st.integers(0, i - 1))], v)
+                 for i, v in enumerate(tree_order) if i}
+    return Digraph(d.vertices, arcs), tree_order[0], draw(st.permutations(tree_order))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spanned_cases())
+def test_a_leaf_cap_cuts_the_optimum_at_k(case):
+    # scores only add up and min(a + b, k) = min(min(a, k) + b, k), so a
+    # run capped at k returns min(opt, k) with a witness of at least that
+    # many leaves, and None exactly when the root spans nothing
+    d, root, order = case
+    nice = make_nice(decomposition_from_ordering(underlying_graph(d), order))
+    opt = brute_max_leaves(d, root)
+    for k in range(1, d.n + 1):
+        got = dp_max_leaves(d, root, nice, target=k)
+        assert (got is None) == (opt is None), (d.arcs, root, k)
+        if got is None:
+            continue
+        count, tree = got
+        assert count == min(opt, k), (d.arcs, root, k, count, opt)
+        validate_out_tree(d, tree, spanning=True)
+        assert tree.root == root and len(tree.leaves()) >= count
+
+
+def test_a_leaf_cap_merges_the_states_that_reach_it():
+    # the states built on the reduced 8x8 ladder grid (p2=0.7, root 0,
+    # optimum 31): 63 092 uncapped, 27 135 capped at k=8, where the states
+    # at the cap merge, and 63 087 at k=31, where almost none reach it
+    reduced = reduce_lob(generate(grid_spec(8, p2=0.7)), 0, 8).digraph
+    built = {k: sum(len(op.table) for op in _op_log(reduced, None, 0, True, None, k)[1])
+             for k in (None, 8, 31)}
+    assert built[8] <= built[None] / 2, built
+    assert abs(built[31] - built[None]) <= built[None] / 100, built
 
 
 def _reversed(table):
