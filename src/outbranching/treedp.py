@@ -649,6 +649,8 @@ def dp_max_leaves(digraph, root, nice=None, target=None):
     the same fragments, parent bits and status.
     """
 
+    if target is not None and target < 1:
+        raise ValueError(f"target must be >= 1, got {target}")
     _check_root(digraph, root)
     return _best_tree(digraph, root, nice, spanning=True, target=target)
 

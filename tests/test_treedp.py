@@ -205,6 +205,11 @@ def test_size_cap_must_be_positive():
         dp_max_internal_outtree(Digraph.of(2, [(0, 1)]), 0, size_cap=0)
 
 
+def test_leaf_cap_must_be_positive():
+    with pytest.raises(ValueError):
+        dp_max_leaves(Digraph.of(2, [(0, 1)]), 0, target=0)
+
+
 def test_max_internal_spanning_agrees_with_branching_oracle():
     # with full reachability the best spanning branching is one candidate;
     # the unrestricted tree optimum can only be at least that value
